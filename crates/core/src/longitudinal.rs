@@ -4,10 +4,13 @@
 //! it can be *re-estimated* as the application population evolves. This
 //! driver replays simulated epochs over a [`corpus::LongitudinalStream`]:
 //!
-//! 1. **Extract** — each epoch's changed apps run through the incremental
-//!    engine ([`crate::IncrementalTestbed`]); untouched apps keep their
-//!    cached dense feature rows and CVE trajectories, so the per-epoch
-//!    cost is proportional to churn, not population size.
+//! 1. **Extract** — each epoch's changed apps are re-synthesized whole
+//!    and extracted from scratch by one shared [`Testbed`], fanned out
+//!    over `trainer.pipeline.jobs` workers in bounded, order-preserving
+//!    chunks; untouched apps keep their cached dense feature rows and
+//!    CVE trajectories, so the per-epoch cost is proportional to churn,
+//!    not population size. No function store is kept: a churned app
+//!    comes from a new seed, so none of its functions would match one.
 //! 2. **Retrain** — a sliding ground-truth window (the most recent
 //!    `window_years` of revealed CVE records) is re-selected and the
 //!    model retrained through [`Trainer::train_streaming`], spilling its
@@ -24,12 +27,13 @@
 //! [`LongitudinalReport::drift_json`], the CI equality gate).
 
 use crate::hypothesis::Hypothesis;
-use crate::incremental::IncrementalTestbed;
+use crate::testbed::Testbed;
 use crate::train::{TrainedModel, Trainer, TrainerConfig};
 use corpus::{LongitudinalStream, StreamConfig};
 use cvedb::CveDatabase;
 use cvedb::CveRecord;
 use secml::eval::{brier_score, roc_auc};
+use static_analysis::FeatureVector;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
@@ -55,6 +59,17 @@ pub struct LongitudinalConfig {
     pub out_of_core: bool,
 }
 
+impl LongitudinalConfig {
+    /// Extraction worker count: `trainer.pipeline.jobs`, where 0 means
+    /// one per core. Replays are byte-identical for every value.
+    pub fn extract_workers(&self) -> usize {
+        match self.trainer.pipeline.jobs {
+            0 => pipeline::default_workers(),
+            jobs => jobs,
+        }
+    }
+}
+
 impl Default for LongitudinalConfig {
     fn default() -> LongitudinalConfig {
         LongitudinalConfig {
@@ -76,8 +91,12 @@ pub struct EpochOutcome {
     pub cutoff_year: i32,
     /// Apps (re)synthesized and (re)extracted this epoch.
     pub apps_changed: usize,
-    /// Incremental-engine function cache counters for this epoch.
+    /// Always 0: the replay keeps no function store, because a churned
+    /// app is re-synthesized from a new seed and shares no function
+    /// with its previous version.
     pub fn_cache_hits: u64,
+    /// Functions analysed this epoch (every function of every changed
+    /// app, each from scratch — there is no function store to hit).
     pub fn_cache_misses: u64,
     /// Apps passing ground-truth selection (= training rows).
     pub trained_apps: usize,
@@ -153,6 +172,18 @@ struct AppCache {
     records: Vec<CveRecord>,
 }
 
+/// Stale apps extracted per `parallel_map` call: bounds how many
+/// extracted vectors and CVE trajectories are in flight at once.
+const EXTRACT_CHUNK: usize = 256;
+
+/// One stale app, materialized and extracted on a worker.
+struct Extracted {
+    name: String,
+    features: FeatureVector,
+    records: Vec<CveRecord>,
+    functions: usize,
+}
+
 /// An epoch's trained model plus the training-time base rate used when
 /// the high-severity hypothesis was degenerate.
 struct EpochModel {
@@ -186,7 +217,8 @@ pub fn replay(
     std::fs::create_dir_all(&config.work_dir)?;
     let stream = LongitudinalStream::new(config.stream.clone());
     let apps = config.stream.apps;
-    let mut engine = IncrementalTestbed::new();
+    let testbed = Testbed::new();
+    let workers = config.extract_workers();
     let mut cache: Vec<Option<AppCache>> = (0..apps).map(|_| None).collect();
     let mut schema: Vec<String> = Vec::new();
     let mut prev: Option<EpochModel> = None;
@@ -196,32 +228,41 @@ pub fn replay(
         let t_extract = Instant::now();
         let cutoff = stream.cutoff_year(epoch);
         let floor = cutoff - config.window_years + 1;
-        let mut apps_changed = 0usize;
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let mut db = CveDatabase::new();
-        for (i, slot) in cache.iter_mut().enumerate() {
-            let last_changed = stream.last_changed(i, epoch);
-            let stale = slot.as_ref().is_none_or(|c| c.last_changed != last_changed);
-            if stale {
-                apps_changed += 1;
-                let (app, records) = stream.materialize(i, last_changed);
-                let (fv, incr) = engine.extract_stats(&app.program);
-                hits += incr.hits;
-                misses += incr.misses;
+        let stale: Vec<(usize, usize)> = (0..apps)
+            .map(|i| (i, stream.last_changed(i, epoch)))
+            .filter(|&(i, last)| cache[i].as_ref().is_none_or(|c| c.last_changed != last))
+            .collect();
+        let mut functions = 0usize;
+        for chunk in stale.chunks(EXTRACT_CHUNK) {
+            let extracted = pipeline::parallel_map(workers, chunk, |_, &(i, last)| {
+                let (app, records) = stream.materialize(i, last);
+                Extracted {
+                    features: testbed.extract(&app.program),
+                    functions: app.program.functions().count(),
+                    name: app.spec.name,
+                    records,
+                }
+            });
+            // Merge in app-index order, so the schema and every row are
+            // the same for any worker count.
+            for (&(i, last_changed), x) in chunk.iter().zip(extracted) {
                 if schema.is_empty() {
-                    schema = fv.iter().map(|(k, _)| k.to_string()).collect();
+                    schema = x.features.iter().map(|(k, _)| k.to_string()).collect();
                     schema.sort();
                 }
                 let mut dense = Vec::new();
-                fv.fill_dense(&schema, &mut dense);
-                *slot = Some(AppCache {
+                x.features.fill_dense(&schema, &mut dense);
+                functions += x.functions;
+                cache[i] = Some(AppCache {
                     last_changed,
-                    name: app.spec.name,
+                    name: x.name,
                     dense,
-                    records,
+                    records: x.records,
                 });
             }
-            let entry = slot.as_ref().expect("cache filled above");
+        }
+        let mut db = CveDatabase::new();
+        for entry in cache.iter().flatten() {
             for r in &entry.records {
                 if r.published.year >= floor && r.published.year <= cutoff {
                     db.insert(r.clone());
@@ -289,9 +330,9 @@ pub fn replay(
         epochs_out.push(EpochOutcome {
             epoch,
             cutoff_year: cutoff,
-            apps_changed,
-            fn_cache_hits: hits,
-            fn_cache_misses: misses,
+            apps_changed: stale.len(),
+            fn_cache_hits: 0,
+            fn_cache_misses: functions as u64,
             trained_apps: histories.len(),
             n_features: fresh.model.feature_names.len(),
             model_path,

@@ -70,16 +70,30 @@ where
         .collect()
 }
 
-/// Pop from our own queue, else steal from the busiest sibling.
+/// Queue locks are held only to push or pop an index, never while a job
+/// runs, so a job's panic cannot poison them.
+const LOCK: &str = "queue lock poisoned outside any job";
+
+/// Pop from our own queue, else steal from the busiest sibling. Another
+/// thief may drain the chosen sibling between sizing it and popping it,
+/// so the steal retries until every sibling is empty; each failed pop
+/// means some job was taken, so the loop ends.
 fn next_job(queues: &[Mutex<VecDeque<usize>>], own: usize) -> Option<usize> {
-    if let Some(i) = queues[own].lock().unwrap().pop_front() {
+    if let Some(i) = queues[own].lock().expect(LOCK).pop_front() {
         return Some(i);
     }
-    // Steal from the back of the longest sibling queue.
-    let victim = (0..queues.len())
-        .filter(|&w| w != own)
-        .max_by_key(|&w| queues[w].lock().unwrap().len())?;
-    queues[victim].lock().unwrap().pop_back()
+    loop {
+        // Steal from the back of the longest non-empty sibling queue.
+        let victim = (0..queues.len())
+            .filter(|&w| w != own)
+            .map(|w| (queues[w].lock().expect(LOCK).len(), w))
+            .filter(|&(len, _)| len > 0)
+            .max_by_key(|&(len, _)| len)?
+            .1;
+        if let Some(i) = queues[victim].lock().expect(LOCK).pop_back() {
+            return Some(i);
+        }
+    }
 }
 
 /// The worker count to use when the caller passes 0 ("auto").
@@ -123,6 +137,26 @@ mod tests {
             counters[i].fetch_add(1, Ordering::SeqCst)
         });
         assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
+    fn many_workers_with_uneven_costs_run_every_job_once() {
+        let n = 300;
+        let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let items: Vec<usize> = (0..n).collect();
+        // Every 7th job is far slower, so queues drain unevenly and the
+        // workers race each other for the last jobs of a sibling queue.
+        let out = parallel_map(12, &items, |_, &i| {
+            let spins = if i % 7 == 0 { 20_000 } else { 10 };
+            let mut acc = i as u64;
+            for k in 0..spins {
+                acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(k));
+            }
+            counters[i].fetch_add(1, Ordering::SeqCst);
+            (i, acc)
+        });
+        assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+        assert!(out.iter().enumerate().all(|(k, &(i, _))| k == i));
     }
 
     #[test]

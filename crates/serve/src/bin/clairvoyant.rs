@@ -124,8 +124,8 @@ commands:
                [--work-dir PATH] [--in-ram] [--serve-addr A]… [--json]
                               replay an evolving longitudinal corpus: stream
                               N apps per epoch (never all resident), extract
-                              only changed apps through the incremental
-                              engine, retrain on a sliding ground-truth
+                              only changed apps over --jobs workers,
+                              retrain on a sliding ground-truth
                               window (spill-to-disk matrices unless
                               --in-ram), measure model drift (stale vs fresh
                               AUC/Brier), and hot-reload each epoch's CLVY
@@ -666,8 +666,9 @@ fn query_cmd(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Replay an evolving longitudinal corpus: stream → extract (incremental)
-/// → retrain (out-of-core) → hot-redeploy into a fleet of daemons.
+/// Replay an evolving longitudinal corpus: stream → extract (changed apps,
+/// over `--jobs` workers) → retrain (out-of-core) → hot-redeploy into a
+/// fleet of daemons.
 fn longitudinal_cmd(
     args: &[String],
     engine: &PipelineConfig,
@@ -719,7 +720,7 @@ fn longitudinal_cmd(
         eprintln!("fleet healthy: {}", fleet.addrs().join(", "));
     }
     eprintln!(
-        "replaying {} epoch(s) over {} app(s) ({}, work dir `{}`)…",
+        "replaying {} epoch(s) over {} app(s) ({}, {} extraction worker(s), work dir `{}`)…",
         config.epochs,
         config.stream.apps,
         if config.out_of_core {
@@ -727,6 +728,7 @@ fn longitudinal_cmd(
         } else {
             "in-RAM"
         },
+        config.extract_workers(),
         config.work_dir.display(),
     );
     let report = replay(&config, |epoch, path| {

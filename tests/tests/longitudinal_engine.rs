@@ -1,6 +1,6 @@
 //! Black-box tests for the PR 10 longitudinal scale-out layer.
 //!
-//! Three pillars, each exercised end to end rather than per crate:
+//! Four pillars, each exercised end to end rather than per crate:
 //!
 //! - **Soak**: a 3-epoch [`replay`] drives a LIVE scoring daemon — the
 //!   deploy hook hot-reloads each epoch's `CLVY` while concurrent
@@ -20,6 +20,9 @@
 //!   stream instances, consumption orders, and chunk sizes — and the
 //!   classic `Corpus::generate` stays bitwise equal to draining the
 //!   streaming generator in arbitrary chunks.
+//! - **Worker-count determinism**: a replay at 1, 2 and all-core
+//!   extraction workers gives the same drift report and byte-identical
+//!   per-epoch models, out of core and in RAM.
 
 use clairvoyant::longitudinal::{replay, LongitudinalConfig};
 use clairvoyant::prelude::*;
@@ -426,4 +429,50 @@ fn corpus_generate_matches_chunked_stream_drain() {
             "chunk {chunk}: CVE database diverged"
         );
     }
+}
+
+/// Extraction fans out over `trainer.pipeline.jobs` workers; the replay
+/// must not notice. One worker, two, and one per core (0) give the same
+/// drift report and byte-identical `epoch-<e>.clvy` files, out of core
+/// and in RAM alike.
+#[test]
+fn replay_is_identical_at_every_worker_count() {
+    let work = scratch("jobs");
+    let replay_at = |jobs: usize, out_of_core: bool| {
+        let dir = work.join(format!("jobs{jobs}-ooc{out_of_core}"));
+        let config = LongitudinalConfig {
+            stream: StreamConfig {
+                apps: 40,
+                ..StreamConfig::default()
+            },
+            epochs: 3,
+            trainer: TrainerConfig {
+                top_k_features: Some(14),
+                pipeline: PipelineConfig::default().jobs(jobs),
+                ..Default::default()
+            },
+            work_dir: dir.clone(),
+            out_of_core,
+            ..Default::default()
+        };
+        let report = replay(&config, |_, _| Ok(())).expect("replay");
+        let models: Vec<Vec<u8>> = (0..config.epochs)
+            .map(|e| std::fs::read(dir.join(format!("epoch-{e}.clvy"))).expect("epoch model"))
+            .collect();
+        (report.drift_json(), models)
+    };
+    for out_of_core in [true, false] {
+        let (drift, models) = replay_at(1, out_of_core);
+        for jobs in [2, 0] {
+            let (other_drift, other_models) = replay_at(jobs, out_of_core);
+            assert_eq!(drift, other_drift, "jobs {jobs}, out_of_core {out_of_core}");
+            for (e, (a, b)) in models.iter().zip(&other_models).enumerate() {
+                assert!(
+                    a == b,
+                    "epoch {e} model bytes differ at jobs {jobs}, out_of_core {out_of_core}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&work);
 }
