@@ -51,7 +51,14 @@ fn bench_passes(c: &mut Criterion) {
         b.iter(|| black_box(static_analysis::callgraph::CallGraph::build(&program).stats()))
     });
     group.bench_function("taint", |b| {
-        b.iter(|| black_box(static_analysis::taint::analyze(&program).flows.len()))
+        let cx = static_analysis::AnalysisContext::build(&program);
+        b.iter(|| {
+            black_box(
+                static_analysis::taint::analyze_contexts(&program, &cx.functions)
+                    .flows
+                    .len(),
+            )
+        })
     });
     group.bench_function("smells", |b| {
         b.iter(|| {
@@ -65,7 +72,9 @@ fn bench_passes(c: &mut Criterion) {
         })
     });
     group.bench_function("bugfind_meta", |b| {
-        b.iter(|| black_box(bugfind::MetaTool::new().run(&program).total()))
+        let cx = static_analysis::AnalysisContext::build(&program);
+        let tool = bugfind::MetaTool::new();
+        b.iter(|| black_box(tool.run_ctx(&cx).total()))
     });
     group.bench_function("rasq", |b| {
         b.iter(|| black_box(attack_graph::AttackSurface::measure(&program).quotient))
@@ -155,71 +164,54 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// BENCH-PERF (part 2): the fused single-pass engine vs the pre-fusion
-/// path. Races [`Testbed::extract`] (one shared `AnalysisContext`, bitset
-/// fixpoints, one taint pass) against [`Testbed::extract_legacy`] (every
-/// analysis rebuilds its own CFGs, string-keyed lattices, taint ×3) over a
-/// synthesized corpus, asserts the vectors bit-identical — including
-/// across per-function worker counts — and prints a `BENCH_ANALYSIS` JSON
-/// line (snapshot: `results/BENCH_ANALYSIS.json`).
+/// BENCH-PERF (part 2): the single-pass analysis engine over a
+/// synthesized corpus. Before timing, every app's vector — with context
+/// construction at 1 and at 4 per-function workers — must match the golden
+/// vector the retired string-keyed extraction path recorded for it
+/// (`tests/fixtures/legacy_vectors.tsv`) bit for bit. Prints a
+/// `BENCH_ANALYSIS` JSON line (snapshot: `results/BENCH_ANALYSIS.json`).
 ///
 /// `CLAIRVOYANT_BENCH_SMOKE=1` shrinks the corpus and iteration count to
-/// a CI-sized equality smoke test.
+/// a CI-sized golden smoke test.
 fn bench_engine(_c: &mut Criterion) {
+    use integration_tests::golden::{self, Golden};
     use std::time::Instant;
     let smoke = std::env::var("CLAIRVOYANT_BENCH_SMOKE").is_ok();
     let (n_apps, iters) = if smoke { (4, 1) } else { (12, 3) };
-    let corpus = Corpus::generate(&CorpusConfig::small(n_apps, 4242));
+    let apps = golden::bench_corpus(n_apps);
+    let fixture = Golden::load();
     let testbed = Testbed::new();
     let parallel_testbed = Testbed::new().with_fn_jobs(4);
 
-    // Equality gate: the fused engine must reproduce the legacy vector
-    // bit-for-bit, for 1 and 4 per-function workers.
-    for app in &corpus.apps {
-        let fused = testbed.extract(&app.program);
-        let legacy = testbed.extract_legacy(&app.program);
-        assert_eq!(
-            fused, legacy,
-            "fused vector diverged from legacy for {}",
-            app.spec.name
-        );
-        let parallel = parallel_testbed.extract(&app.program);
-        assert_eq!(
-            fused, parallel,
-            "4-worker context construction diverged for {}",
-            app.spec.name
-        );
+    // Golden gate, at 1 and 4 per-function workers.
+    if let Err(e) = fixture.check_inputs(&apps) {
+        panic!("{e}");
+    }
+    for app in &apps {
+        for (workers, tb) in [(1, &testbed), (4, &parallel_testbed)] {
+            if let Err(e) = fixture.check(app, &tb.extract(&app.program)) {
+                panic!("{workers} worker(s): {e}");
+            }
+        }
     }
 
     let t0 = Instant::now();
     for _ in 0..iters {
-        for app in &corpus.apps {
+        for app in &apps {
             black_box(testbed.extract(&app.program).len());
         }
     }
     let fused_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
 
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        for app in &corpus.apps {
-            black_box(testbed.extract_legacy(&app.program).len());
-        }
-    }
-    let legacy_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
-
-    let speedup = legacy_ms / fused_ms.max(1e-9);
     println!(
         "BENCH_ANALYSIS {{\"programs\":{},\"iters\":{iters},\"fused_ms\":{:.1},\
-         \"legacy_ms\":{:.1},\"speedup\":{:.2},\"vectors_identical\":true}}",
-        corpus.apps.len(),
-        fused_ms,
-        legacy_ms,
-        speedup
+         \"vectors_identical\":true}}",
+        apps.len(),
+        fused_ms
     );
     eprintln!(
-        "analysis engine: fused {fused_ms:.0} ms, legacy {legacy_ms:.0} ms, \
-         speedup {speedup:.1}× over {} programs",
-        corpus.apps.len()
+        "analysis engine: {fused_ms:.0} ms over {} programs, golden vectors matched",
+        apps.len()
     );
 }
 

@@ -70,26 +70,22 @@ impl MetaTool {
         self.checkers.iter().map(|c| c.name()).collect()
     }
 
-    /// Run every tool and merge.
+    /// Build the program's [`AnalysisContext`], then run every tool over
+    /// it and merge.
     pub fn run(&self, program: &Program) -> MetaReport {
-        self.merge(|c| c.check(program))
+        self.run_ctx(&AnalysisContext::build(program))
     }
 
-    /// Run every tool over the shared [`AnalysisContext`] and merge. The
-    /// report is identical to [`MetaTool::run`]'s, but the CFG/interval/
-    /// taint-driven checkers reuse the context's precomputed results
-    /// instead of re-deriving them.
+    /// Run every tool over a prebuilt [`AnalysisContext`] and merge — the
+    /// testbed's entry point, so lint and feature extraction share one
+    /// context per program.
     pub fn run_ctx(&self, cx: &AnalysisContext<'_>) -> MetaReport {
-        self.merge(|c| c.check_ctx(cx))
-    }
-
-    fn merge(&self, run: impl Fn(&(dyn Checker + Send + Sync)) -> Vec<Diagnostic>) -> MetaReport {
         let mut report = MetaReport::default();
         // (function, span start) → set of tools that flagged it.
         let mut site_tools: BTreeMap<(String, usize), Vec<&'static str>> = BTreeMap::new();
 
         for checker in &self.checkers {
-            for diag in run(checker.as_ref()) {
+            for diag in checker.check(cx) {
                 *report
                     .by_rule
                     .entry(format!("{}/{}", diag.tool, diag.rule))
@@ -189,9 +185,53 @@ mod tests {
         assert_eq!(report.count_cwe(121), 0);
     }
 
+    /// What the program-keyed checkers (deleted after commit a26a510)
+    /// reported for the program below, recorded at that commit: every
+    /// diagnostic field, then the per-rule, per-severity and per-CWE
+    /// counts and the multi-tool site count.
+    const LEGACY_REPORT: &str = "\
+bufcheck/strcpy-fixed-buffer Warning serve m.c 140..156@5:18 Some(121) unbounded strcpy into fixed buffer `buf`
+inputcheck/unvalidated-param Warning serve m.c 140..156@5:18 Some(20) untrusted parameter `req` used without validation
+pathcheck/tainted-path Warning serve m.c 191..205@6:34 Some(22) attacker-influenced path `req` reaches `read_file`
+fmtcheck/non-literal-format Warning serve m.c 256..267@8:18 Some(134) non-literal format string passed to `printf`
+deadstore/dead-store Note helper m.c 373..392@12:18 None value assigned to `waste` is never read
+deadstore/dead-store Note helper m.c 410..419@13:18 None value assigned to `waste` is never read
+bufcheck/index-oob Error helper m.c 488..492@15:18 Some(121) index [9, 9] is outside `b[4]`
+by_rule {\"bufcheck/index-oob\": 1, \"bufcheck/strcpy-fixed-buffer\": 1, \"deadstore/dead-store\": 2, \"fmtcheck/non-literal-format\": 1, \"inputcheck/unvalidated-param\": 1, \"pathcheck/tainted-path\": 1}
+by_severity {Note: 2, Warning: 4, Error: 1}
+by_cwe {20: 1, 22: 1, 121: 2, 134: 1}
+multi_tool_sites 1
+";
+
+    fn render(r: &MetaReport) -> String {
+        let mut out = String::new();
+        for d in &r.diagnostics {
+            let s = d.span;
+            out += &format!(
+                "{}/{} {:?} {} {} {}..{}@{}:{} {:?} {}\n",
+                d.tool,
+                d.rule,
+                d.severity,
+                d.function,
+                d.module,
+                s.start,
+                s.end,
+                s.line,
+                s.col,
+                d.cwe_hint,
+                d.message
+            );
+        }
+        out += &format!("by_rule {:?}\n", r.by_rule);
+        out += &format!("by_severity {:?}\n", r.by_severity);
+        out += &format!("by_cwe {:?}\n", r.by_cwe);
+        out += &format!("multi_tool_sites {}\n", r.multi_tool_sites);
+        out
+    }
+
     #[test]
     fn context_run_matches_program_run() {
-        // Exercises the three context-aware checkers: bufcheck (interval
+        // Exercises the three context-driven checkers: bufcheck (interval
         // analysis), deadstore (reaching defs + liveness), pathcheck
         // (interprocedural taint) — plus the AST-only rest.
         let p = program(
@@ -214,15 +254,9 @@ mod tests {
              }",
         );
         let tool = MetaTool::new();
-        let legacy = tool.run(&p);
         let cx = AnalysisContext::build(&p);
-        let fused = tool.run_ctx(&cx);
-        assert!(legacy.total() > 0);
-        assert_eq!(legacy.diagnostics, fused.diagnostics);
-        assert_eq!(legacy.by_rule, fused.by_rule);
-        assert_eq!(legacy.by_severity, fused.by_severity);
-        assert_eq!(legacy.by_cwe, fused.by_cwe);
-        assert_eq!(legacy.multi_tool_sites, fused.multi_tool_sites);
+        assert_eq!(render(&tool.run_ctx(&cx)), LEGACY_REPORT);
+        assert_eq!(render(&tool.run(&p)), LEGACY_REPORT);
     }
 
     #[test]

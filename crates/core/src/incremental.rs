@@ -127,12 +127,6 @@ impl IncrementalTestbed {
         self
     }
 
-    /// Bound the entry store to `capacity` functions (0 = default).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.store = FnStore::new(capacity);
-        self
-    }
-
     /// The wrapped testbed (collector set, timings).
     pub fn testbed(&self) -> &Testbed {
         &self.testbed

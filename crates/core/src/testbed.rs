@@ -16,10 +16,10 @@
 //! program: the registry collectors read its precomputed CFGs and bitset
 //! fixpoints, the bug checkers reuse the same CFGs/intervals through
 //! `MetaTool::run_ctx`, and the attack-graph exploit facts come from the
-//! context's single interprocedural taint pass (the legacy path ran
-//! `taint::analyze` three times per program). [`Testbed::extract_legacy`]
-//! preserves that pre-fusion path for the equivalence property tests and
-//! the `analysis_throughput` benchmark.
+//! context's single interprocedural taint pass. The vectors the retired
+//! string-keyed extraction path produced are kept as golden data
+//! (`tests/fixtures/legacy_vectors.tsv`), which `extract` must reproduce
+//! bit for bit.
 
 use attack_graph::{interaction_facts, AttackGraph, AttackSurface, VectorKind};
 use bugfind::{DiagSeverity, MetaReport, MetaTool};
@@ -103,20 +103,6 @@ impl Testbed {
         let start = Instant::now();
         Self::set_attack(program, &cx.taint, &mut fv);
         self.record("attackgraph", start.elapsed());
-        fv
-    }
-
-    /// The pre-fusion extraction path: every analysis rebuilds its own
-    /// CFGs, the fixpoints hash variable-name strings, and the
-    /// interprocedural taint pass runs three times (taint features,
-    /// attack features, path-traversal checker). Kept as the oracle the
-    /// fused engine is raced against and asserted bit-identical to.
-    pub fn extract_legacy(&self, program: &Program) -> FeatureVector {
-        let mut fv = static_analysis::legacy_standard_vector(program);
-        let report = self.metatool.run(program);
-        Self::set_bugfind(&report, program, &mut fv);
-        let taint = static_analysis::taint::analyze(program);
-        Self::set_attack(program, &taint, &mut fv);
         fv
     }
 
@@ -366,6 +352,114 @@ mod tests {
         assert_eq!(fv.get("bugfind.density"), Some(1.0));
     }
 
+    /// The vector the string-keyed extraction path (deleted after commit
+    /// a26a510) produced for the program below, recorded at that commit.
+    /// Values compare through their shortest round-trip `{:?}` form, so
+    /// the check is bit-for-bit.
+    const LEGACY_VECTOR: &str = "\
+attackgraph.easiest_cost 10.0
+attackgraph.exploits 1.0
+attackgraph.goal_reachable 0.0
+attackgraph.paths 0.0
+attackgraph.shortest_path 0.0
+bounds.out_of_bounds 0.0
+bounds.safe 1.0
+bounds.unknown 1.0
+bounds.unproved_ratio 0.5
+bugfind.cwe_121 2.0
+bugfind.cwe_134 1.0
+bugfind.cwe_190 0.0
+bugfind.cwe_20 1.0
+bugfind.cwe_200 0.0
+bugfind.cwe_22 1.0
+bugfind.cwe_367 0.0
+bugfind.cwe_401 0.0
+bugfind.cwe_416 0.0
+bugfind.cwe_798 0.0
+bugfind.density 3.5
+bugfind.errors 0.0
+bugfind.multi_tool_sites 1.0
+bugfind.notes 2.0
+bugfind.total 7.0
+bugfind.warnings 5.0
+callgraph.call_edges 0.0
+callgraph.intrinsic_edges 4.0
+callgraph.leaf_functions 2.0
+callgraph.max_in_degree 0.0
+callgraph.max_out_degree 0.0
+callgraph.recursive_functions 0.0
+callgraph.root_functions 2.0
+callgraph.unresolved_edges 0.0
+counts.branches 2.0
+counts.buffer_capacity 12.0
+counts.buffers 2.0
+counts.calls 4.0
+counts.declarations 5.0
+counts.endpoints 1.0
+counts.functions 2.0
+counts.globals 1.0
+counts.loops 1.0
+counts.mean_parameters 1.0
+counts.parameters 2.0
+counts.privileged_functions 0.0
+counts.returning_functions 1.0
+counts.returns 1.0
+cyclomatic.log10_total 0.6989700043360189
+cyclomatic.max 4.0
+cyclomatic.mean 2.5
+cyclomatic.over_10 0.0
+cyclomatic.total 5.0
+dataflow.dead_stores 2.0
+dataflow.defs 5.0
+dataflow.du_pairs 4.0
+dataflow.uninitialized_uses 2.0
+halstead.difficulty 17.818181818181817
+halstead.effort 3971.7635484909642
+halstead.estimated_bugs 0.0743016990363956
+halstead.length 48.0
+halstead.vocabulary 25.0
+halstead.volume 222.90509710918678
+lang.is_c 1.0
+lang.is_cc 0.0
+lang.is_java 0.0
+lang.is_py 0.0
+lang.memory_unsafe 1.0
+loc.blank 0.0
+loc.code 17.0
+loc.comment 0.0
+loc.comment_ratio 0.0
+loc.files 1.0
+loc.kloc 0.017
+loc.log10_kloc -1.7695510786217261
+loc.total 17.0
+paths.capped_functions 0.0
+paths.feasible 7.0
+paths.infeasible 0.0
+paths.log2_sum 3.807354922057604
+rasq.file_endpoints 0.0
+rasq.input_channels 0.0
+rasq.local_endpoints 0.0
+rasq.network_endpoints 1.0
+rasq.privileged_functions 0.0
+rasq.process_spawns 0.0
+rasq.quotient 1.5
+rasq.unresolved_externs 0.0
+smells.dead_code 0.0
+smells.deep_nesting 0.0
+smells.deprecated_call 0.0
+smells.duplicate_code 0.0
+smells.god_function 0.0
+smells.long_method 0.0
+smells.long_parameter_list 0.0
+smells.sparse_comments 0.0
+smells.total 0.0
+taint.exposed_flows 2.0
+taint.flows 2.0
+taint.sink_calls 2.0
+taint.source_calls 1.0
+taint.tainted_entry_functions 1.0
+";
+
     #[test]
     fn fused_extraction_matches_legacy_path() {
         let p = program(
@@ -387,8 +481,9 @@ mod tests {
                  return b[0];
              }",
         );
-        let testbed = Testbed::new();
-        assert_eq!(testbed.extract(&p), testbed.extract_legacy(&p));
+        let fv = Testbed::new().extract(&p);
+        let rendered: String = fv.iter().map(|(k, v)| format!("{k} {v:?}\n")).collect();
+        assert_eq!(rendered, LEGACY_VECTOR);
     }
 
     #[test]

@@ -723,7 +723,7 @@ mod tests {
     fn exposed_seed_produces_taint_flow() {
         let seeds = vec![(Cwe::StackBufferOverflow, true)];
         let out = synthesize(&spec(0.8, 11), &seeds);
-        let report = static_analysis::taint::analyze(&out.program);
+        let report = static_analysis::AnalysisContext::build(&out.program).taint;
         assert!(
             !report.flows.is_empty(),
             "a seeded exposed CWE-121 must create a real taint flow"

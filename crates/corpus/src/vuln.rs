@@ -383,7 +383,7 @@ mod tests {
             dialect: Dialect::C,
             modules: vec![m],
         };
-        let taint = static_analysis::taint::analyze(&program);
+        let taint = static_analysis::AnalysisContext::build(&program).taint;
         assert_eq!(taint.flows.len(), 1);
         assert!(taint.flows[0].via_parameters);
     }

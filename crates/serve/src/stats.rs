@@ -147,9 +147,7 @@ pub struct ServiceStats {
 
 impl ServiceStats {
     /// Snapshot as the `stats` response body. `shard_depths` is each
-    /// batcher shard's queued-job count; `queue_depth` stays in the
-    /// schema as their sum so dashboards keyed on the old field keep
-    /// working.
+    /// batcher shard's queued-job count.
     pub fn to_json(&self, inflight: usize, shard_depths: &[usize]) -> Json {
         let n = |a: &AtomicU64| Json::Number(a.load(Ordering::Relaxed) as f64);
         Json::object(vec![
@@ -177,10 +175,6 @@ impl ServiceStats {
             ("incr_misses", n(&self.incr_misses)),
             ("incr_rebuilt_fns", n(&self.incr_rebuilt_fns)),
             ("inflight", Json::Number(inflight as f64)),
-            (
-                "queue_depth",
-                Json::Number(shard_depths.iter().sum::<usize>() as f64),
-            ),
             (
                 "queue_depths",
                 Json::Array(
@@ -225,9 +219,9 @@ mod tests {
         let json = s.to_json(1, &[3, 4]).to_string();
         assert!(json.contains("\"requests\":2"));
         assert!(json.contains("\"inflight\":1"));
-        // Per-shard depths plus the legacy total.
+        // Per-shard depths only; no summed total.
         assert!(json.contains("\"queue_depths\":[3,4]"));
-        assert!(json.contains("\"queue_depth\":7"));
+        assert!(!json.contains("\"queue_depth\":"));
         assert!(json.contains("\"p999_us\""));
         assert!(json.contains("\"reactor_wakeups\""));
         assert!(json.contains("\"incr_hits\""));

@@ -1,10 +1,7 @@
 //! The shared analysis context: expensive structural work done once per
-//! program, consumed by every collector.
+//! program, consumed by every collector and bug checker.
 //!
-//! Before this module existed, `registry`, `taint`, `interval`, `paths`
-//! and `smells` each rebuilt the same per-function CFGs, and the
-//! set-valued fixpoints hashed variable-name strings. An
-//! [`AnalysisContext`] now owns, per program:
+//! An [`AnalysisContext`] owns, per program:
 //!
 //! * a [`SymbolTable`] interning every identifier ([`SymbolId`]s assigned
 //!   in one deterministic sequential pass);
@@ -12,9 +9,8 @@
 //!   postorder, immediate dominators, per-node def/use sets as dense
 //!   symbol indices, and the precomputed dataflow / interval / bounds /
 //!   path / dead-code results every collector needs;
-//! * one shared interprocedural [`TaintReport`] (the legacy path computed
-//!   it up to three times per program: taint features, attack-surface
-//!   features, and the path-traversal checker).
+//! * one shared interprocedural [`TaintReport`], read by the taint
+//!   features, the attack-graph features and the path-traversal checker.
 //!
 //! Function contexts are independent once interning is done, so
 //! [`AnalysisContext::build_with`] lets callers fan their construction out

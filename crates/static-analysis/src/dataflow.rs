@@ -15,7 +15,7 @@
 //! predictable performance on the synthesized corpus.
 
 use crate::cfg::{Cfg, NodeId, NodeKind};
-use minilang::ast::{Expr, ExprKind, Function, LValue, Stmt, StmtKind};
+use minilang::ast::{Expr, ExprKind, LValue, StmtKind};
 use minilang::visit;
 use std::collections::HashMap;
 
@@ -77,13 +77,6 @@ pub fn node_uses(kind: &NodeKind<'_>) -> Vec<String> {
         NodeKind::Entry | NodeKind::Exit | NodeKind::Join => {}
     }
     out
-}
-
-fn collect_stmt_of<'a>(kind: &NodeKind<'a>) -> Option<&'a Stmt> {
-    match kind {
-        NodeKind::Stmt(s) => Some(s),
-        _ => None,
-    }
 }
 
 /// Result of the reaching-definitions analysis.
@@ -259,92 +252,22 @@ pub struct DataflowStats {
     pub possibly_uninitialized_uses: usize,
 }
 
-/// Compute def-use statistics for one function's CFG. Parameter names are
-/// read straight off the function so callers iterating a whole program
-/// don't clone a `Vec<String>` per function.
-pub fn dataflow_stats(cfg: &Cfg<'_>, function: &Function, globals: &[String]) -> DataflowStats {
-    let rd = reaching_definitions(cfg);
-    let lv = liveness(cfg);
-
-    // Local variables declared by `let`.
-    let mut locals: Vec<String> = Vec::new();
-    for node in &cfg.nodes {
-        if let Some(stmt) = collect_stmt_of(&node.kind) {
-            if let StmtKind::Let { name, .. } = &stmt.kind {
-                if !locals.contains(name) {
-                    locals.push(name.clone());
-                }
-            }
-        }
-    }
-
-    let mut stats = DataflowStats {
-        defs: rd.defs.len(),
-        ..Default::default()
-    };
-
-    // du pairs + uninitialized uses.
-    for (id, node) in cfg.nodes.iter().enumerate() {
-        for used in node_uses(&node.kind) {
-            let reaching: Vec<usize> = rd.reach_in[id]
-                .iter()
-                .filter(|&d| rd.defs[d].var == used)
-                .collect();
-            stats.du_pairs += reaching.len();
-            let is_param = function.params.iter().any(|p| p.name == used);
-            let is_tracked_local = locals.contains(&used) && !is_param && !globals.contains(&used);
-            if reaching.is_empty() && is_tracked_local {
-                stats.possibly_uninitialized_uses += 1;
-            }
-        }
-    }
-
-    // Dead stores: a strong def of a local whose variable is not live out of
-    // the defining node. (Bare `let` declarations never appear in the def
-    // table, so every def here is a real store.)
-    for def in &rd.defs {
-        if !def.strong || !locals.contains(&def.var) {
-            continue;
-        }
-        if !lv.is_live_out(def.node, &def.var) {
-            stats.dead_stores += 1;
-        }
-    }
-    stats
-}
-
-/// Symbol-indexed variant of [`dataflow_stats`], used by the fused engine:
-/// the caller (a [`crate::context::FunctionContext`]) has already built the
-/// CFG, its reverse postorder and the per-node def/use sets as dense
-/// function-local symbol indices, so this runs both fixpoints without
-/// allocating a single string. Results are identical to the legacy path —
-/// du-pairs are still counted per use *occurrence* and the same
-/// local/param/global classification applies.
-#[allow(clippy::too_many_arguments)]
-pub fn dataflow_stats_sym(
-    cfg: &Cfg<'_>,
-    order: &[NodeId],
-    node_defs: &[Option<(u32, bool)>],
-    node_uses: &[Vec<u32>],
-    universe: usize,
-    let_locals: &BitSet,
-    params: &BitSet,
-    globals: &BitSet,
-) -> DataflowStats {
-    dataflow_stats_sym_sites(
-        cfg, order, node_defs, node_uses, universe, let_locals, params, globals,
-    )
-    .0
-}
-
-/// [`dataflow_stats_sym`] plus the dead-store *sites* the `deadstore`
-/// bug checker reports: `(defining node, local)` for every strong def of
-/// a non-parameter, non-global variable that is not live out of its node
+/// Def-use statistics for one function, plus the dead-store *sites* the
+/// `deadstore` bug checker reports. The caller (a
+/// [`crate::context::FnStructure`]) has already built the CFG, its reverse
+/// postorder and the per-node def/use sets as dense function-local symbol
+/// indices, so both fixpoints run without allocating a string. Du-pairs
+/// are counted per use *occurrence*; a use with no reaching definition
+/// counts as uninitialized only for `let`-declared locals that are neither
+/// parameters nor globals.
+///
+/// Sites are `(defining node, local)` for every strong def of a
+/// non-parameter, non-global variable that is not live out of its node
 /// (the checker's slightly wider predicate — the `dead_stores` statistic
-/// keeps counting `let`-declared locals only, exactly as before). Sites
-/// are structure-relative (node ids and dense locals, no spans), so they
-/// cache safely in a [`crate::context::FnPayload`] and the checker can
-/// re-anchor them against any identical-text rebuild of the CFG.
+/// counts `let`-declared locals only). They are structure-relative (node
+/// ids and dense locals, no spans), so they cache safely in a
+/// [`crate::context::FnPayload`] and the checker can re-anchor them
+/// against any identical-text rebuild of the CFG.
 #[allow(clippy::too_many_arguments)]
 pub fn dataflow_stats_sym_sites(
     cfg: &Cfg<'_>,
@@ -356,7 +279,8 @@ pub fn dataflow_stats_sym_sites(
     params: &BitSet,
     globals: &BitSet,
 ) -> (DataflowStats, Vec<(NodeId, u32)>) {
-    // Enumerate def sites in node order (same ids the legacy path assigns).
+    // Enumerate def sites in node order (the ids `reaching_definitions`
+    // assigns).
     struct SymDef {
         var: u32,
         node: NodeId,
@@ -442,8 +366,7 @@ pub fn dataflow_stats_sym_sites(
         ..Default::default()
     };
 
-    // du pairs + uninitialized uses (per use occurrence, like the legacy
-    // path).
+    // du pairs + uninitialized uses (per use occurrence).
     for (id, uses) in node_uses.iter().enumerate() {
         for &used in uses {
             let reaching = defs_of_var[used as usize]
@@ -491,7 +414,8 @@ mod tests {
     }
 
     fn stats(src: &str) -> DataflowStats {
-        with_cfg(src, |cfg, func| dataflow_stats(cfg, func, &[]))
+        let p = minilang::parse_program("app", Dialect::C, &[("t.c".into(), src.into())]).unwrap();
+        crate::context::AnalysisContext::build(&p).functions[0].dataflow
     }
 
     #[test]

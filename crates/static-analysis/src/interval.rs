@@ -9,6 +9,11 @@
 //! * the buffer-bounds check — a `buf[i]` access is *provably safe* when the
 //!   interval of `i` sits inside `[0, capacity)`;
 //! * the path explorer's feasibility pruning ([`crate::paths`]).
+//!
+//! The path explorer threads a string-keyed [`Env`] along each path
+//! ([`assume`], [`apply_node_public`]); the per-function fixpoint
+//! ([`analyze_cfg_sym`], [`check_bounds_sym`]) runs on dense [`SymEnv`]s
+//! over the function's interned locals.
 
 use crate::cfg::{Cfg, NodeId, NodeKind};
 use minilang::ast::{BinaryOp, Expr, ExprKind, Function, LValue, StmtKind, Type, UnaryOp};
@@ -401,129 +406,9 @@ fn refine_left(op: BinaryOp, cur: Interval, bound: Interval) -> Interval {
     }
 }
 
-/// Per-node abstract environments (at node entry) for one function.
-#[derive(Debug)]
-pub struct IntervalAnalysis {
-    pub envs: Vec<Env>,
-}
-
-/// Number of fixpoint sweeps before widening kicks in.
-const WIDEN_AFTER: usize = 3;
-
-/// Run the forward interval fixpoint over a function.
-pub fn analyze_function(f: &Function) -> IntervalAnalysis {
-    let cfg = Cfg::build(f);
-    analyze_cfg(&cfg, f)
-}
-
-/// Run over an existing CFG (callers that already built one).
-pub fn analyze_cfg(cfg: &Cfg<'_>, f: &Function) -> IntervalAnalysis {
-    let order = cfg.reverse_postorder();
-    // Widening points: targets of back edges (loop heads). Widening anywhere
-    // else would wipe out branch refinements computed after the loop.
-    let mut pos = vec![0usize; cfg.node_count()];
-    for (i, &n) in order.iter().enumerate() {
-        pos[n] = i;
-    }
-    let mut widen_at = vec![false; cfg.node_count()];
-    for (from, node) in cfg.nodes.iter().enumerate() {
-        for &to in &node.succs {
-            if pos[from] >= pos[to] {
-                widen_at[to] = true;
-            }
-        }
-    }
-    let mut envs: Vec<Option<Env>> = vec![None; cfg.node_count()];
-    // Parameters: ints start Top; nothing else tracked.
-    let mut entry_env = Env::new();
-    for p in &f.params {
-        if p.ty == Type::Int {
-            entry_env.insert(p.name.clone(), Interval::TOP);
-        }
-    }
-    envs[cfg.entry] = Some(entry_env);
-
-    let mut sweeps = 0usize;
-    loop {
-        sweeps += 1;
-        let mut changed = false;
-        for &id in &order {
-            if id == cfg.entry {
-                continue;
-            }
-            // Join over incoming edge-refined environments.
-            let mut joined: Option<Env> = None;
-            for &p in &cfg.nodes[id].preds {
-                let Some(pred_env) = envs[p].as_ref() else {
-                    continue;
-                };
-                let contributed = edge_env(cfg, p, id, pred_env);
-                let Some(contributed) = contributed else {
-                    continue;
-                };
-                joined = Some(match joined {
-                    None => contributed,
-                    Some(j) => join_env(&j, &contributed),
-                });
-            }
-            let Some(inset) = joined else { continue };
-            let outset = apply_node(&cfg.nodes[id].kind, inset);
-            let new = match (&envs[id], sweeps > WIDEN_AFTER && widen_at[id]) {
-                (Some(old), true) => widen_env(old, &outset),
-                _ => outset,
-            };
-            if envs[id].as_ref() != Some(&new) {
-                envs[id] = Some(new);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-        // Hard safety valve: widening guarantees convergence, but cap sweeps
-        // anyway so a domain bug cannot hang the testbed.
-        if sweeps > 200 {
-            break;
-        }
-    }
-    IntervalAnalysis {
-        envs: envs.into_iter().map(|e| e.unwrap_or_default()).collect(),
-    }
-}
-
-/// Environment flowing along edge `from → to` (branch refinement applied).
-///
-/// When both the `True` and `False` edges of a condition lead to `to`
-/// (an empty branch), the refinements of the parallel edges are joined.
-fn edge_env(cfg: &Cfg<'_>, from: NodeId, to: NodeId, env: &Env) -> Option<Env> {
-    if let NodeKind::Cond(cond) = &cfg.nodes[from].kind {
-        let mut joined: Option<Env> = None;
-        for label in cfg.edge_labels(from, to) {
-            let refined = match label {
-                crate::cfg::EdgeLabel::True => assume(cond, true, env),
-                crate::cfg::EdgeLabel::False => assume(cond, false, env),
-                // Switch arms and jumps: no refinement.
-                _ => Some(env.clone()),
-            };
-            if let Some(r) = refined {
-                joined = Some(match joined {
-                    None => r,
-                    Some(j) => join_env(&j, &r),
-                });
-            }
-        }
-        return joined;
-    }
-    Some(env.clone())
-}
-
-/// Public adapter for [`apply_node`], used by the path explorer.
-pub fn apply_node_public(kind: &NodeKind<'_>, env: Env) -> Env {
-    apply_node(kind, env)
-}
-
-/// Apply a node's state change to the environment *after* the node.
-fn apply_node(kind: &NodeKind<'_>, mut env: Env) -> Env {
+/// Apply a node's state change to the environment *after* the node (the
+/// path explorer's transfer function).
+pub fn apply_node_public(kind: &NodeKind<'_>, mut env: Env) -> Env {
     if let NodeKind::Stmt(stmt) = kind {
         match &stmt.kind {
             StmtKind::Let { name, ty, init } if *ty == Type::Int => {
@@ -562,29 +447,6 @@ fn apply_node(kind: &NodeKind<'_>, mut env: Env) -> Env {
     env
 }
 
-fn join_env(a: &Env, b: &Env) -> Env {
-    let mut out = Env::new();
-    // A variable absent from one side is Top there; Top join x = Top, so
-    // only variables present in both sides stay bounded.
-    for (k, va) in a {
-        if let Some(vb) = b.get(k) {
-            out.insert(k.clone(), va.join(vb));
-        }
-    }
-    out
-}
-
-fn widen_env(old: &Env, new: &Env) -> Env {
-    let mut out = Env::new();
-    for (k, vn) in new {
-        match old.get(k) {
-            Some(vo) => out.insert(k.clone(), vo.widen(vn)),
-            None => out.insert(k.clone(), *vn),
-        };
-    }
-    out
-}
-
 /// Verdict for one buffer access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundsVerdict {
@@ -604,85 +466,15 @@ pub struct BoundsReport {
     pub unknown: usize,
 }
 
-/// Check all indexed accesses of locally-declared buffers in `f`.
-pub fn check_bounds(f: &Function) -> BoundsReport {
-    let cfg = Cfg::build(f);
-    let analysis = analyze_cfg(&cfg, f);
-
-    // Buffer capacities from declarations (locals + params + none for
-    // unknown).
-    let mut caps: BTreeMap<&str, usize> = BTreeMap::new();
-    for p in &f.params {
-        if let Some(c) = p.ty.buffer_capacity() {
-            caps.insert(p.name.as_str(), c);
-        }
-    }
-    visit::walk_stmts(&f.body, &mut |s| {
-        if let StmtKind::Let { name, ty, .. } = &s.kind {
-            if let Some(c) = ty.buffer_capacity() {
-                caps.insert(name.as_str(), c);
-            }
-        }
-    });
-
-    let mut report = BoundsReport::default();
-    for (id, node) in cfg.nodes.iter().enumerate() {
-        let env = &analysis.envs[id];
-        let mut check = |base: &str, index: &Expr| {
-            let Some(&cap) = caps.get(base) else {
-                report.unknown += 1;
-                return;
-            };
-            let idx = eval(index, env);
-            if idx.is_bottom() {
-                // Unreachable access.
-                report.safe += 1;
-            } else if idx.lo >= 0 && idx.hi < cap as i64 {
-                report.safe += 1;
-            } else if idx.hi < 0 || idx.lo >= cap as i64 {
-                report.out_of_bounds += 1;
-            } else {
-                report.unknown += 1;
-            }
-        };
-        let exprs: Vec<&Expr> = match &node.kind {
-            NodeKind::Stmt(stmt) => {
-                if let StmtKind::Assign {
-                    target: LValue::Index { base, index, .. },
-                    ..
-                } = &stmt.kind
-                {
-                    check(base, index);
-                }
-                visit::stmt_exprs(stmt)
-            }
-            NodeKind::Cond(c) => vec![c],
-            _ => vec![],
-        };
-        for root in exprs {
-            visit::walk_expr(root, &mut |e| {
-                if let ExprKind::Index { base, index } = &e.kind {
-                    if let ExprKind::Var(name) = &base.kind {
-                        check(name, index);
-                    }
-                }
-            });
-        }
-    }
-    report
-}
-
 // ---------------------------------------------------------------------------
-// Symbol-indexed environments — the fused engine's dense lattice.
+// Symbol-indexed environments — the per-function fixpoint's dense lattice.
 //
-// The legacy fixpoint keys environments by variable-name `String` in a
-// `BTreeMap`. The fused path replaces that with a bitset of present
-// function-local symbols plus a flat `Vec<Interval>`, with the invariant
-// that absent slots always hold `TOP`. Since no interval transfer function
-// ever *removes* a variable (joins intersect key sets, widening keeps the
-// new env's keys), the derived `PartialEq` on the flat representation is
-// exactly `BTreeMap` equality, so the fixpoint converges after the same
-// sweeps and every env matches the legacy one bit for bit.
+// An environment is a bitset of present function-local symbols plus a flat
+// `Vec<Interval>`, with the invariant that absent slots always hold `TOP`.
+// No transfer function ever *removes* a variable (joins intersect key sets,
+// widening keeps the new env's keys), so the derived `PartialEq` on the flat
+// representation is exactly name-keyed map equality: the fixpoint converges
+// after the same sweeps a string-keyed `Env` fixpoint would.
 // ---------------------------------------------------------------------------
 
 use crate::bitset::BitSet;
@@ -941,6 +733,9 @@ fn edge_env_sym(
     Some(env.clone())
 }
 
+/// Number of fixpoint sweeps before widening kicks in.
+const WIDEN_AFTER: usize = 3;
+
 /// Per-node symbol-indexed environments (at node entry) for one function.
 /// `Clone` so the incremental engine can cache one function's stabilized
 /// envs and re-install them on a fingerprint hit.
@@ -949,8 +744,9 @@ pub struct SymIntervalAnalysis {
     pub envs: Vec<SymEnv>,
 }
 
-/// The fused engine's interval fixpoint: same sweeps, same widening points,
-/// same convergence test as [`analyze_cfg`], over dense environments.
+/// The forward interval fixpoint over one function, in reverse postorder
+/// `order`: joins over branch-refined incoming edges, widening at loop
+/// heads (back-edge targets) after [`WIDEN_AFTER`] sweeps.
 pub fn analyze_cfg_sym(
     cfg: &Cfg<'_>,
     f: &Function,
@@ -1026,8 +822,10 @@ pub fn analyze_cfg_sym(
     }
 }
 
-/// Bounds check over precomputed symbol-indexed environments; verdicts are
-/// identical to [`check_bounds`].
+/// Check every indexed access of a declared buffer in `f` against the
+/// precomputed environments: safe when the index interval sits inside
+/// `[0, capacity)` (or the access is unreachable), out of bounds when it
+/// lies wholly outside, unknown otherwise.
 pub fn check_bounds_sym(
     cfg: &Cfg<'_>,
     f: &Function,
@@ -1142,15 +940,45 @@ mod tests {
         parse_module("t.c", src, Dialect::C).unwrap()
     }
 
+    /// Run the fixpoint and the bounds check over `f`, reading every
+    /// node's environment back as a name-keyed [`Env`].
+    fn analyze(f: &Function) -> (Cfg<'_>, Vec<Env>, BoundsReport) {
+        let cfg = Cfg::build(f);
+        let order = cfg.reverse_postorder();
+        let mut table = crate::symbols::SymbolTable::new();
+        table.intern_function(f);
+        let syms = FnSymbols::build(f, &table);
+        let analysis = analyze_cfg_sym(&cfg, f, &syms, &order);
+        let envs = analysis
+            .envs
+            .iter()
+            .map(|env| {
+                env.present
+                    .iter_ones()
+                    .map(|l| (table.name(syms.syms[l]).to_string(), env.vals[l]))
+                    .collect()
+            })
+            .collect();
+        let bounds = check_bounds_sym(&cfg, f, &syms, &analysis);
+        (cfg, envs, bounds)
+    }
+
+    fn node_of_let(cfg: &Cfg<'_>, var: &str) -> NodeId {
+        cfg.nodes
+            .iter()
+            .position(|nd| {
+                matches!(nd.kind, NodeKind::Stmt(s)
+                    if matches!(&s.kind, StmtKind::Let { name, .. } if name == var))
+            })
+            .unwrap()
+    }
+
     #[test]
     fn constant_propagation_through_straight_line() {
         let m = func("fn f() { let x: int = 3; let y: int = x + 4; let z: int = y * 2; }");
-        let f = &m.functions[0];
-        let cfg = Cfg::build(f);
-        let a = analyze_cfg(&cfg, f);
+        let (cfg, envs, _) = analyze(&m.functions[0]);
         // The exit env is at the Exit node.
-        let exit_env = &a.envs[cfg.exit];
-        assert_eq!(exit_env.get("z"), Some(&Interval::constant(14)));
+        assert_eq!(envs[cfg.exit].get("z"), Some(&Interval::constant(14)));
     }
 
     #[test]
@@ -1164,19 +992,10 @@ mod tests {
                 }
             }",
         );
-        let f = &m.functions[0];
-        let cfg = Cfg::build(f);
-        let a = analyze_cfg(&cfg, f);
-        // Find the `let inside` node and check n's interval there.
-        let node = cfg
-            .nodes
-            .iter()
-            .position(|nd| {
-                matches!(nd.kind, NodeKind::Stmt(s)
-                    if matches!(&s.kind, StmtKind::Let { name, .. } if name == "inside"))
-            })
-            .unwrap();
-        assert_eq!(a.envs[node].get("n"), Some(&Interval::new(0, 9)));
+        let (cfg, envs, _) = analyze(&m.functions[0]);
+        // n's interval at the `let inside` node.
+        let node = node_of_let(&cfg, "inside");
+        assert_eq!(envs[node].get("n"), Some(&Interval::new(0, 9)));
     }
 
     #[test]
@@ -1188,38 +1007,20 @@ mod tests {
                 let after: int = i;
             }",
         );
-        let f = &m.functions[0];
-        let cfg = Cfg::build(f);
-        let a = analyze_cfg(&cfg, f);
-        let node = cfg
-            .nodes
-            .iter()
-            .position(|nd| {
-                matches!(nd.kind, NodeKind::Stmt(s)
-                    if matches!(&s.kind, StmtKind::Let { name, .. } if name == "after"))
-            })
-            .unwrap();
-        let i = a.envs[node].get("i").copied().unwrap();
+        let (cfg, envs, _) = analyze(&m.functions[0]);
+        let i = envs[node_of_let(&cfg, "after")].get("i").copied().unwrap();
         // Widening loses the upper bound but i ≥ 0 must survive.
         assert!(i.lo >= 0, "lower bound lost: {i}");
     }
 
     #[test]
     fn assume_conjunction_refines_both() {
-        let env = Env::new();
         let m = func("fn f(a: int) { if a > 2 && a < 7 { let x: int = a; } }");
-        let f = &m.functions[0];
-        let cfg = Cfg::build(f);
-        let a = analyze_cfg(&cfg, f);
-        let node = cfg
-            .nodes
-            .iter()
-            .position(|nd| {
-                matches!(nd.kind, NodeKind::Stmt(s) if matches!(&s.kind, StmtKind::Let { .. }))
-            })
-            .unwrap();
-        assert_eq!(a.envs[node].get("a"), Some(&Interval::new(3, 6)));
-        drop(env);
+        let (cfg, envs, _) = analyze(&m.functions[0]);
+        assert_eq!(
+            envs[node_of_let(&cfg, "x")].get("a"),
+            Some(&Interval::new(3, 6))
+        );
     }
 
     #[test]
@@ -1244,7 +1045,7 @@ mod tests {
                 buf[8] = 3;
             }",
         );
-        let r = check_bounds(&m.functions[0]);
+        let (_, _, r) = analyze(&m.functions[0]);
         assert_eq!(
             r,
             BoundsReport {
@@ -1263,7 +1064,7 @@ mod tests {
                 for i = 0; i < 16; i += 1 { buf[i] = i; }
             }",
         );
-        let r = check_bounds(&m.functions[0]);
+        let (_, _, r) = analyze(&m.functions[0]);
         assert_eq!(r.out_of_bounds, 0);
         assert_eq!(r.safe, 1);
     }
@@ -1271,7 +1072,7 @@ mod tests {
     #[test]
     fn bounds_check_unguarded_parameter_is_unknown() {
         let m = func("fn f(i: int) { let buf: int[8]; buf[i] = 1; }");
-        let r = check_bounds(&m.functions[0]);
+        let (_, _, r) = analyze(&m.functions[0]);
         assert_eq!(r.unknown, 1);
     }
 
@@ -1285,46 +1086,95 @@ mod tests {
                 for i = 0; i <= 16; i += 1 { buf[i] = i; }
             }",
         );
-        let r = check_bounds(&m.functions[0]);
+        let (_, _, r) = analyze(&m.functions[0]);
         assert_eq!(r.safe, 0);
         assert_eq!(r.out_of_bounds + r.unknown, 1);
     }
 
+    /// Per-node entry envs and bounds verdicts of the string-keyed
+    /// fixpoint (deleted after commit a26a510), recorded at that commit.
+    const LEGACY_ANALYSES: [(&str, &str); 5] = [
+        (
+            "fn f() { let buf: int[8]; buf[0] = 1; buf[7] = 2; buf[8] = 3; }",
+            "\
+0:
+1:
+2:
+3:
+4:
+5:
+bounds safe=2 out_of_bounds=1 unknown=0
+",
+        ),
+        (
+            "fn f(n: int) { let buf: int[16]; for i = 0; i < 16; i += 1 { buf[i] = i; } }",
+            "\
+0: n=[-∞, +∞]
+1: i=[16, +∞] n=[-∞, +∞]
+2: n=[-∞, +∞]
+3: i=[0, 0] n=[-∞, +∞]
+4: i=[0, +∞] n=[-∞, +∞]
+5: i=[16, +∞] n=[-∞, +∞]
+6: i=[1, 16] n=[-∞, +∞]
+7: i=[0, 15] n=[-∞, +∞]
+bounds safe=1 out_of_bounds=0 unknown=0
+",
+        ),
+        (
+            "fn f(i: int) { let buf: int[8]; buf[i] = 1; }",
+            "\
+0: i=[-∞, +∞]
+1: i=[-∞, +∞]
+2: i=[-∞, +∞]
+3: i=[-∞, +∞]
+bounds safe=0 out_of_bounds=0 unknown=1
+",
+        ),
+        (
+            "fn f(a: int) { if a > 2 && a < 7 { let x: int = a; let b: int[4]; b[x - 3] = 0; } }",
+            "\
+0: a=[-∞, +∞]
+1: a=[-∞, +∞]
+2: a=[-∞, +∞]
+3: a=[3, 6] x=[3, 6]
+4: a=[3, 6] x=[3, 6]
+5: a=[3, 6] x=[3, 6]
+bounds safe=1 out_of_bounds=0 unknown=0
+",
+        ),
+        (
+            "fn f(n: int) { let i: int = 0; while i < n { i = i + 1; } let after: int = i; }",
+            "\
+0: n=[-∞, +∞]
+1: after=[0, +∞] i=[0, +∞] n=[-∞, +∞]
+2: i=[0, 0] n=[-∞, +∞]
+3: i=[0, +∞] n=[-∞, +∞]
+4: i=[0, +∞] n=[-∞, +∞]
+5: i=[1, +∞] n=[1, +∞]
+6: after=[0, +∞] i=[0, +∞] n=[-∞, +∞]
+bounds safe=0 out_of_bounds=0 unknown=0
+",
+        ),
+    ];
+
     #[test]
     fn sym_analysis_matches_legacy_envs_and_bounds() {
-        let sources = [
-            "fn f() { let buf: int[8]; buf[0] = 1; buf[7] = 2; buf[8] = 3; }",
-            "fn f(n: int) { let buf: int[16]; for i = 0; i < 16; i += 1 { buf[i] = i; } }",
-            "fn f(i: int) { let buf: int[8]; buf[i] = 1; }",
-            "fn f(a: int) { if a > 2 && a < 7 { let x: int = a; let b: int[4]; b[x - 3] = 0; } }",
-            "fn f(n: int) { let i: int = 0; while i < n { i = i + 1; } let after: int = i; }",
-        ];
-        for src in sources {
+        for (src, expected) in LEGACY_ANALYSES {
             let m = func(src);
-            let f = &m.functions[0];
-            let cfg = Cfg::build(f);
-            let order = cfg.reverse_postorder();
-            let mut table = crate::symbols::SymbolTable::new();
-            table.intern_function(f);
-            let syms = FnSymbols::build(f, &table);
-
-            let legacy = analyze_cfg(&cfg, f);
-            let sym = analyze_cfg_sym(&cfg, f, &syms, &order);
-            // Every env agrees: same present variables, same intervals.
-            for (id, env) in legacy.envs.iter().enumerate() {
+            let (_, envs, b) = analyze(&m.functions[0]);
+            let mut rendered = String::new();
+            for (id, env) in envs.iter().enumerate() {
+                rendered += &format!("{id}:");
                 for (name, iv) in env {
-                    let local = syms.local(name).unwrap();
-                    assert!(sym.envs[id].contains(local), "{src}: {name} missing");
-                    assert_eq!(sym.envs[id].get(local), *iv, "{src}: {name} differs");
+                    rendered += &format!(" {name}={iv}");
                 }
-                let present = sym.envs[id].present.count();
-                assert_eq!(present, env.len(), "{src}: node {id} domain differs");
+                rendered.push('\n');
             }
-            assert_eq!(
-                check_bounds_sym(&cfg, f, &syms, &sym),
-                check_bounds(f),
-                "{src}: bounds verdicts differ"
+            rendered += &format!(
+                "bounds safe={} out_of_bounds={} unknown={}\n",
+                b.safe, b.out_of_bounds, b.unknown
             );
+            assert_eq!(rendered, expected, "{src}");
         }
     }
 

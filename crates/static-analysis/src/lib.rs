@@ -19,9 +19,11 @@
 //! | basic counts (functions, declarations, branches, args) | [`counts`] |
 //! | extensible collector registry (Metrix++ role) | [`registry`], [`features`] |
 //!
-//! Every analysis exposes a plain function from AST to a result struct, plus
-//! a [`registry::MetricCollector`] adapter that flattens the result into
-//! named [`features::FeatureVector`] entries for the ML stage.
+//! The syntactic analyses expose a plain function from AST to a result
+//! struct; the fixpoint analyses (dataflow statistics, taint, intervals and
+//! bounds) run over a prebuilt [`context::AnalysisContext`]. A
+//! [`registry::MetricCollector`] per family flattens the results into named
+//! [`features::FeatureVector`] entries for the ML stage.
 //!
 //! Collectors share one [`context::AnalysisContext`]: identifiers are
 //! interned into a [`symbols::SymbolTable`], each function's CFG,
@@ -49,8 +51,5 @@ pub mod taint;
 pub use bitset::BitSet;
 pub use context::{AnalysisContext, FunctionContext};
 pub use features::FeatureVector;
-pub use registry::{
-    legacy_standard_vector, standard_registry, MetricCollector, ProgramCollectorAdapter,
-    ProgramMetricCollector, Registry,
-};
+pub use registry::{standard_registry, MetricCollector, Registry};
 pub use symbols::{SymbolId, SymbolTable};

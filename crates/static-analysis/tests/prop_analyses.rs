@@ -99,8 +99,9 @@ proptest! {
     #[test]
     fn interval_safe_accesses_never_fault_at_runtime(seed in 0u64..5000) {
         let p = program(seed, 1);
-        for f in p.functions() {
-            let bounds = static_analysis::interval::check_bounds(f);
+        let cx = static_analysis::AnalysisContext::build(&p);
+        for fcx in &cx.functions {
+            let (f, bounds) = (fcx.function, &fcx.bounds);
             if bounds.out_of_bounds == 0 && bounds.unknown == 0 {
                 // Everything proved safe statically: the interpreter must
                 // agree on every input it tries.

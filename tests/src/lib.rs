@@ -1,1 +1,3 @@
 //! Integration test support crate (tests live in `tests/tests/`).
+
+pub mod golden;

@@ -1,75 +1,60 @@
-//! Equivalence property for the single-pass analysis engine: over a spread
-//! of randomly synthesized programs — every dialect, every domain, varied
-//! seeds and CWE seeding — the fused `AnalysisContext` extraction must be
-//! bit-identical to the pre-fusion legacy path, and identical again when
-//! per-function context construction fans out over worker threads.
+//! Golden gate for the analysis engine: `Testbed::extract`, with context
+//! construction at 1 and at 4 per-function workers, must reproduce the
+//! feature vectors the retired string-keyed extraction path recorded in
+//! `tests/fixtures/legacy_vectors.tsv`, bit for bit — on the 48 property
+//! programs (every dialect and domain, varied seeds and CWE seeding) and on
+//! both `analysis_throughput` bench corpora.
 
 use clairvoyant::testbed::Testbed;
-use corpus::{AppSpec, Domain};
-use cvedb::Cwe;
-use minilang::Dialect;
-
-fn spec(i: u64, dialect: Dialect, domain: Domain) -> AppSpec {
-    AppSpec {
-        name: format!("prop-app-{i}"),
-        dialect,
-        domain,
-        // Small programs keep ~50 cases tractable in debug builds; the
-        // synthesizer still emits branches, loops, buffers and endpoints
-        // at this size.
-        target_kloc: 0.25 + (i % 5) as f64 * 0.1,
-        maturity: (i % 7) as f64 / 6.0,
-        review: (i % 3) as f64 / 2.0,
-        expertise: (i % 4) as f64 / 3.0,
-        first_release_year: 1998 + (i % 20) as i32,
-        seed: 0x5eed_0000 + i * 7919,
-    }
-}
-
-fn cwe_seeds(i: u64) -> Vec<(Cwe, bool)> {
-    match i % 4 {
-        0 => vec![],
-        1 => vec![(Cwe::StackBufferOverflow, true)],
-        2 => vec![(Cwe::FormatString, false), (Cwe::PathTraversal, true)],
-        _ => vec![
-            (Cwe::CommandInjection, true),
-            (Cwe::HardcodedCredentials, false),
-        ],
-    }
-}
+use integration_tests::golden::{self, Golden};
 
 #[test]
 fn fused_engine_is_bit_identical_to_legacy_across_dialects_and_workers() {
-    let dialects = [Dialect::C, Dialect::Cpp, Dialect::Python, Dialect::Java];
-    let domains = [
-        Domain::Server,
-        Domain::Library,
-        Domain::CliTool,
-        Domain::Desktop,
-    ];
+    let golden = Golden::load();
     let sequential = Testbed::new();
     let parallel = Testbed::new().with_fn_jobs(4);
-
-    let mut checked = 0u64;
-    for i in 0..48u64 {
-        let dialect = dialects[(i % 4) as usize];
-        let domain = domains[((i / 4) % 4) as usize];
-        let app = corpus::synth::synthesize(&spec(i, dialect, domain), &cwe_seeds(i));
-
-        let fused = sequential.extract(&app.program);
-        let legacy = sequential.extract_legacy(&app.program);
-        assert_eq!(
-            fused.iter().collect::<Vec<_>>(),
-            legacy.iter().collect::<Vec<_>>(),
-            "fused vector diverged from legacy on {dialect:?}/{domain:?} seed {i}"
-        );
-
-        let fanned = parallel.extract(&app.program);
-        assert_eq!(
-            fused, fanned,
-            "4-worker context construction diverged on {dialect:?}/{domain:?} seed {i}"
-        );
-        checked += 1;
+    let sets = [
+        golden::property_programs(),
+        golden::bench_corpus(4),
+        golden::bench_corpus(12),
+    ];
+    let mut checked = 0;
+    for inputs in &sets {
+        if let Err(e) = golden.check_inputs(inputs) {
+            panic!("{e}");
+        }
+        for input in inputs {
+            for (workers, testbed) in [(1, &sequential), (4, &parallel)] {
+                if let Err(e) = golden.check(input, &testbed.extract(&input.program)) {
+                    panic!("{workers} worker(s): {e}");
+                }
+            }
+            checked += 1;
+        }
     }
-    assert_eq!(checked, 48);
+    assert_eq!(checked, golden.row_count(), "every fixture row is checked");
+}
+
+#[test]
+fn changed_inputs_report_a_stale_fixture() {
+    let golden = Golden::load();
+    let mut inputs = golden::property_programs();
+    inputs[3].files[0].1.push_str("\n// edited\n");
+    let err = golden.check_inputs(&inputs).unwrap_err();
+    assert!(err.starts_with("fixture stale: inputs changed"), "{err}");
+
+    inputs.pop();
+    let err = golden.check_inputs(&inputs).unwrap_err();
+    assert!(err.starts_with("fixture stale: inputs changed"), "{err}");
+}
+
+#[test]
+fn a_one_ulp_change_is_a_divergence() {
+    let golden = Golden::load();
+    let input = &golden::property_programs()[0];
+    let mut fv = Testbed::new().extract(&input.program);
+    let bumped = f64::from_bits(fv.get("halstead.volume").unwrap().to_bits() + 1);
+    fv.set("halstead.volume", bumped);
+    let err = golden.check(input, &fv).unwrap_err();
+    assert!(err.contains("halstead.volume"), "{err}");
 }

@@ -69,7 +69,7 @@ fn taint_flows_track_exposed_injection_seeds() {
         if exposed_injections == 0 {
             continue;
         }
-        let taint = static_analysis::taint::analyze(&app.program);
+        let taint = static_analysis::AnalysisContext::build(&app.program).taint;
         assert!(
             !taint.flows.is_empty(),
             "{} has {exposed_injections} exposed injection seeds but no taint flow",
