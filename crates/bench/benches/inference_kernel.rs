@@ -1,21 +1,22 @@
-//! BENCH-KERNEL: compiled quantized kernels vs the PR 4 interpreter.
+//! BENCH-KERNEL: the compiled scoring kernel vs the boxed per-row
+//! battery, per block size.
 //!
-//! Races the flattened-battery interpreter (`TrainedModel::compile`, the
-//! blocked lockstep engine) against the same battery after
-//! `CompiledModel::optimize()` — quantized thresholds, feature-subset
-//! pruning, mask-propagation blocks, depth-unrolled ladders (see
-//! `secml::kernel` and DESIGN.md §14) — over the serving-scale
-//! 200-tree / 150-app configuration the `BENCH_INFER` snapshot uses.
-//! Before anything is timed, the equality gate asserts scores *and*
-//! attributions are bit-identical between the two engines at 1 and 4
-//! workers.
+//! Trains the serving-scale 200-tree / 150-app configuration the
+//! `BENCH_INFER` snapshot uses and scores it through `CompiledModel`,
+//! whose tree-shaped models run the compiled mask-walk program of
+//! `secml::kernel` (quantized thresholds, feature-subset pruning,
+//! mask-propagation blocks; DESIGN.md §14). Before anything is timed,
+//! the equality gate asserts reports *and* explanations are
+//! bit-identical to the boxed per-row reference
+//! (`TrainedModel::evaluate_features`, and the scalar per-row
+//! attribution walk `explain_features`) at 1 and 4 workers.
 //!
-//! The headline `speedup` times `CompiledModel::score_battery` — every
-//! model in the battery over the prepared matrix, end to end — which
-//! is the stage the codegen touches. The same line also reports the
-//! full report pipeline (`evaluate_batch`: feature prep + scoring +
-//! report assembly, stages shared verbatim by both engines) as
-//! `pipeline_*`, and `explain_batch` end-to-end as `explain_*`. The
+//! The headline `speedup` is boxed per-row battery scoring (every
+//! model's `predict` per prepared row) ÷ `CompiledModel::score_battery`
+//! over the whole prepared corpus. `blocks` times `score_battery` per
+//! row when the corpus arrives in blocks of 1, 2, 8, 16 and 64 rows —
+//! serve scores one or two rows a request, batch callers 64-row
+//! blocks. `explain_kernel_ms` times `explain_batch` end to end. The
 //! result prints as one `BENCH_KERNEL` JSON line (snapshot:
 //! `results/BENCH_KERNEL.json`); CI fails the job if `speedup`
 //! regresses more than 10% below the committed snapshot.
@@ -87,6 +88,9 @@ fn assert_explanations_identical(a: &Explanation, b: &Explanation, context: &str
     }
 }
 
+/// Block sizes the per-row table times `score_battery` at.
+const BLOCKS: [usize; 5] = [1, 2, 8, 16, 64];
+
 fn bench_kernel(_c: &mut Criterion) {
     use std::time::Instant;
     let smoke = std::env::var("CLAIRVOYANT_BENCH_SMOKE").is_ok();
@@ -105,9 +109,6 @@ fn bench_kernel(_c: &mut Criterion) {
         ..Default::default()
     })
     .train(&train_corpus);
-    // Two independent compilations of the same battery: one stays the
-    // interpreter, one runs the codegen stage.
-    let interp = model.compile();
     let kernel = model.compile();
     let kernels = kernel.optimize();
     assert!(kernels > 0, "battery must compile at least one kernel");
@@ -121,56 +122,75 @@ fn bench_kernel(_c: &mut Criterion) {
             (app.spec.name.clone(), testbed.extract(&app.program))
         });
 
-    // Equality gate before timing: scores and attributions from the
-    // compiled kernels must reproduce the interpreter bit-for-bit, at 1
-    // and 4 workers.
+    // Equality gate before timing: reports and explanations from the
+    // compiled kernels must reproduce the boxed per-row models (and the
+    // scalar attribution walk) bit-for-bit, at 1 and 4 workers.
+    let boxed: Vec<SecurityReport> = apps
+        .iter()
+        .map(|(name, fv)| model.evaluate_features(name.clone(), fv))
+        .collect();
+    let scalar: Vec<Explanation> = apps
+        .iter()
+        .map(|(name, fv)| kernel.explain_features(name.clone(), fv))
+        .collect();
     for (jobs, context) in [(1usize, "1 worker"), (4, "4 workers")] {
-        let a = interp.evaluate_batch(&apps, jobs);
-        let b = kernel.evaluate_batch(&apps, jobs);
-        assert_eq!(a.len(), b.len());
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_reports_identical(ra, rb, context);
+        let reports = kernel.evaluate_batch(&apps, jobs);
+        assert_eq!(reports.len(), boxed.len());
+        for (want, got) in boxed.iter().zip(&reports) {
+            assert_reports_identical(want, got, context);
         }
-        let ea = interp.explain_batch(&apps, jobs);
-        let eb = kernel.explain_batch(&apps, jobs);
-        for (xa, xb) in ea.iter().zip(&eb) {
-            assert_explanations_identical(xa, xb, context);
+        let explained = kernel.explain_batch(&apps, jobs);
+        for ((want, reference), got) in boxed.iter().zip(&scalar).zip(&explained) {
+            assert_reports_identical(want, &got.report, context);
+            assert_explanations_identical(reference, got, context);
         }
     }
 
-    // Headline: the battery scoring stage over one prepared batch —
-    // prep and assembly are engine-independent pipeline stages, timed
-    // separately below as `pipeline_*`.
-    let batch = interp.prepare_batch(&apps, 1);
+    // Headline: boxed per-row battery scoring vs `score_battery` over
+    // the same prepared rows — prep and report assembly are timed by
+    // BENCH_INFER, not here.
+    let rows: Vec<Vec<f64>> = apps.iter().map(|(_, fv)| model.prepare_row(fv)).collect();
     let t0 = Instant::now();
     for _ in 0..iters {
-        black_box(interp.score_battery(&batch, 1).len());
+        for row in &rows {
+            black_box(model.all_hypotheses(row));
+            black_box(model.predicted_count(row));
+            black_box(model.predicted_severity_counts(row));
+        }
     }
-    let interp_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
+    let boxed_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
 
+    let batch = kernel.prepare_batch(&apps, 1);
     let t0 = Instant::now();
     for _ in 0..iters {
         black_box(kernel.score_battery(&batch, 1).len());
     }
     let kernel_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
 
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        black_box(interp.evaluate_batch(&apps, 1).len());
+    // Per-block-size table: the corpus scored `size` rows at a time.
+    let boxed_us_per_row = boxed_ms * 1e3 / apps.len() as f64;
+    let mut blocks = Vec::new();
+    for size in BLOCKS {
+        let batches: Vec<_> = apps
+            .chunks(size)
+            .map(|chunk| kernel.prepare_batch(chunk, 1))
+            .collect();
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            for batch in &batches {
+                black_box(kernel.score_battery(batch, 1).len());
+            }
+        }
+        let us_per_row = t0.elapsed().as_secs_f64() * 1e6 / (iters * apps.len()) as f64;
+        eprintln!(
+            "  {size:>2}-row blocks: {us_per_row:.1} µs/row ({:.1}× boxed)",
+            boxed_us_per_row / us_per_row.max(1e-9)
+        );
+        blocks.push(format!(
+            "{{\"rows\":{size},\"kernel_us_per_row\":{us_per_row:.2},\"speedup\":{:.2}}}",
+            boxed_us_per_row / us_per_row.max(1e-9)
+        ));
     }
-    let pipeline_interp_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        black_box(kernel.evaluate_batch(&apps, 1).len());
-    }
-    let pipeline_kernel_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        black_box(interp.explain_batch(&apps, 1).len());
-    }
-    let explain_interp_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
 
     let t0 = Instant::now();
     for _ in 0..iters {
@@ -178,31 +198,18 @@ fn bench_kernel(_c: &mut Criterion) {
     }
     let explain_kernel_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
 
-    let speedup = interp_ms / kernel_ms.max(1e-9);
-    let pipeline_speedup = pipeline_interp_ms / pipeline_kernel_ms.max(1e-9);
-    let explain_speedup = explain_interp_ms / explain_kernel_ms.max(1e-9);
+    let speedup = boxed_ms / kernel_ms.max(1e-9);
     println!(
         "BENCH_KERNEL {{\"rows\":{},\"trees\":{trees},\"iters\":{iters},\"kernels\":{kernels},\
-         \"interp_ms\":{:.2},\"kernel_ms\":{:.2},\"speedup\":{:.2},\
-         \"pipeline_interp_ms\":{:.2},\"pipeline_kernel_ms\":{:.2},\"pipeline_speedup\":{:.2},\
-         \"explain_interp_ms\":{:.2},\"explain_kernel_ms\":{:.2},\"explain_speedup\":{:.2},\
-         \"reports_identical\":true}}",
+         \"boxed_ms\":{boxed_ms:.2},\"kernel_ms\":{kernel_ms:.2},\"speedup\":{speedup:.2},\
+         \"boxed_us_per_row\":{boxed_us_per_row:.2},\"blocks\":[{}],\
+         \"explain_kernel_ms\":{explain_kernel_ms:.2},\"reports_identical\":true}}",
         apps.len(),
-        interp_ms,
-        kernel_ms,
-        speedup,
-        pipeline_interp_ms,
-        pipeline_kernel_ms,
-        pipeline_speedup,
-        explain_interp_ms,
-        explain_kernel_ms,
-        explain_speedup
+        blocks.join(",")
     );
     eprintln!(
-        "kernel codegen: battery scoring {interp_ms:.1} ms → {kernel_ms:.1} ms ({speedup:.1}×), \
-         report pipeline {pipeline_interp_ms:.1} ms → {pipeline_kernel_ms:.1} ms \
-         ({pipeline_speedup:.1}×), explain {explain_interp_ms:.1} ms → {explain_kernel_ms:.1} ms \
-         ({explain_speedup:.1}×) over {} apps × {trees}-tree forests ({kernels} kernels)",
+        "kernel: battery scoring {boxed_ms:.1} ms boxed → {kernel_ms:.1} ms ({speedup:.1}×), \
+         explain {explain_kernel_ms:.1} ms over {} apps × {trees}-tree forests ({kernels} kernels)",
         apps.len()
     );
 }

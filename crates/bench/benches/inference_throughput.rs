@@ -9,7 +9,7 @@
 //! boxed per-row reference path (`TrainedModel::evaluate_features`, one
 //! pointer-chasing tree walk per row per model) against
 //! [`CompiledModel::evaluate_batch`](clairvoyant::CompiledModel)
-//! (flattened node tables, 64-row blocked lockstep scoring, pool fan-out)
+//! (flattened node tables, compiled mask-walk kernels, pool fan-out)
 //! over a 150-app corpus. Reports are asserted bit-identical at 1 and 4
 //! workers before anything is timed, and the result prints as one
 //! `BENCH_INFER` JSON line (snapshot: `results/BENCH_INFER.json`);

@@ -16,7 +16,7 @@
 //!
 //! [`CompiledModel::explain_batch`] is the batched entry point — it
 //! shares the scoring engine's row preparation and runs every model's
-//! blocked attribution kernel over the whole corpus, so explaining a
+//! batched attribution over the whole corpus, so explaining a
 //! corpus costs about two scoring passes, not a per-row scalar walk.
 //! [`CompiledModel::explain_features`] is the scalar reference path the
 //! batched engine must match bit-for-bit.
@@ -156,7 +156,7 @@ impl CompiledModel {
     /// Explain a whole corpus of `(app_name, feature_vector)` pairs, in
     /// input order. Row preparation and report assembly are shared with
     /// [`evaluate_batch`](CompiledModel::evaluate_batch); every model's
-    /// blocked attribution kernel then replaces its scoring kernel, and
+    /// batched attribution then replaces its scoring kernel, and
     /// the reports are rebuilt from the attribution predictions — which
     /// are bit-identical to the scoring kernels' outputs, so an
     /// explained report equals the scored report exactly, for any
@@ -171,6 +171,7 @@ impl CompiledModel {
         } else {
             jobs
         };
+        self.optimize();
         let rows = self.prepared_rows(apps, jobs);
         let matrix = ColMatrix::from_rows(&rows);
 

@@ -7,10 +7,11 @@
 //! whole corpus at once: feature rows are prepared into one reused
 //! scratch buffer (no per-app allocation), assembled into a single
 //! columnar [`ColMatrix`], and every model in the battery scores the full
-//! matrix with its blocked `predict_batch` kernel, fanned out over the
-//! pipeline work-stealing pool. Reports are bit-identical to the boxed
-//! per-row path ([`crate::metric::evaluate_features`]) for any worker
-//! count.
+//! matrix with its batch kernel — for tree-shaped models the compiled
+//! program of `secml::kernel`, built and linked on first use — fanned
+//! out over the pipeline work-stealing pool. Reports are bit-identical
+//! to the boxed per-row path ([`crate::metric::evaluate_features`]) for
+//! any worker count.
 //!
 //! Compiled models also persist: [`CompiledModel::save`] /
 //! [`CompiledModel::load`] write a versioned, serde-free binary format
@@ -54,6 +55,9 @@ pub struct CompiledModel {
     pub(crate) count_model: CompiledRegressor,
     pub(crate) severity_models: Vec<(SeverityBand, CompiledRegressor)>,
     pub(crate) risk_weights: Vec<f64>,
+    /// Set once every model's compiled program is built and the battery
+    /// linked; holds [`optimize`](CompiledModel::optimize)'s count.
+    pub(crate) warm: std::sync::OnceLock<usize>,
 }
 
 /// A corpus prepared for battery scoring: the transformed model-input
@@ -118,27 +122,25 @@ impl CompiledModel {
         self.hypotheses.len()
     }
 
-    /// Lower every tree-shaped model in the battery to its quantized,
-    /// feature-pruned, depth-unrolled kernel (`secml::kernel`) — the
-    /// "codegen" stage. A load/reload-time step, not a wire-format
-    /// change: `CLVY` bytes are untouched, and scoring stays bitwise
-    /// identical (the compiled programs make provably the same decisions
-    /// as the interpreter). Returns the number of models whose compiled
-    /// kernel is active; models that hit the exactness fallback keep the
-    /// interpreter and are simply not counted.
+    /// Warm the battery up: build every tree-shaped model's compiled
+    /// program (`secml::kernel`) and link the battery to one shared
+    /// quantization, so a scoring call ranks the batch matrix once, not
+    /// once per model. The first scoring or explain call does this
+    /// anyway; serve calls it before a model swap so no request pays for
+    /// it. `CLVY` bytes are untouched and scores are bitwise the same
+    /// either way. Idempotent: repeat calls only read a cached count.
+    /// Returns the number of models whose batch kernel is active; a
+    /// table that refuses to quantize keeps the row walk and is not
+    /// counted.
     pub fn optimize(&self) -> usize {
-        let classifiers = self.hypotheses.iter().map(|(_, m)| m.optimize());
-        let regressors = std::iter::once(&self.count_model)
-            .chain(self.severity_models.iter().map(|(_, m)| m))
-            .map(|m| m.optimize());
-        let active = classifiers.chain(regressors).filter(|&ok| ok).count();
-        // Link the battery's kernels to one shared quantization so a
-        // scoring call ranks the batch matrix once, not once per model.
-        secml::link_battery(
-            self.hypotheses.iter().map(|(_, m)| m),
-            std::iter::once(&self.count_model).chain(self.severity_models.iter().map(|(_, m)| m)),
-        );
-        active
+        *self.warm.get_or_init(|| {
+            let regressors = std::iter::once(&self.count_model)
+                .chain(self.severity_models.iter().map(|(_, m)| m));
+            let active = self.hypotheses.iter().filter(|(_, m)| m.optimize()).count()
+                + regressors.clone().filter(|m| m.optimize()).count();
+            secml::link_battery(self.hypotheses.iter().map(|(_, m)| m), regressors);
+            active
+        })
     }
 
     /// Prepare every app's model-input row, fanned out over `jobs`
@@ -197,6 +199,7 @@ impl CompiledModel {
     /// batch kernel, fanned out over `jobs` pool workers. One
     /// prediction vector per model, rows in corpus order.
     pub fn score_battery(&self, batch: &PreparedBatch, jobs: usize) -> Vec<Vec<f64>> {
+        self.optimize();
         let jobs = self.clamp_jobs(batch.rows.len(), jobs);
         enum Task<'a> {
             Classify(&'a CompiledClassifier),
@@ -375,6 +378,7 @@ impl CompiledModel {
             count_model,
             severity_models,
             risk_weights,
+            warm: Default::default(),
         })
     }
 
@@ -499,17 +503,28 @@ mod tests {
 
     #[test]
     fn optimized_battery_reports_are_bit_identical() {
+        // `optimize` is a warm-up, not a mode: a battery scored cold
+        // builds the same kernels on first use and reports the same bits.
         let model = shared_model();
-        let compiled = model.compile();
+        let cold = model.compile();
         let optimized = model.compile();
-        assert!(optimized.optimize() > 0, "battery compiles some kernels");
+        let active = optimized.optimize();
+        assert!(active > 0, "battery compiles some kernels");
+        assert_eq!(optimized.optimize(), active, "repeat warm-ups are no-ops");
         let apps = corpus_features();
-        let interp = compiled.evaluate_batch(&apps, 1);
+        cold.to_bytes();
+        assert_eq!(
+            cold.warm.get(),
+            None,
+            "compile and to_bytes build no kernels"
+        );
+        let first = cold.evaluate_batch(&apps, 1);
+        assert_eq!(cold.warm.get(), Some(&active), "first scoring call warms");
         let kernel = optimized.evaluate_batch(&apps, 1);
-        for (a, b) in interp.iter().zip(&kernel) {
+        for (a, b) in first.iter().zip(&kernel) {
             reports_bit_identical(a, b);
         }
-        // And against the boxed scalar reference, transitively.
+        // And against the boxed scalar reference.
         for ((name, fv), report) in apps.iter().zip(&kernel) {
             let boxed = crate::metric::evaluate_features(model, name.clone(), fv);
             reports_bit_identical(&boxed, report);

@@ -172,11 +172,7 @@ pub fn evaluate_system_jobs(
     system: &SystemSpec,
     jobs: usize,
 ) -> SystemReport {
-    let compiled = model.compile();
-    // Codegen before scoring: bit-identical, so system reports cannot
-    // tell the kernels from the interpreter.
-    compiled.optimize();
-    evaluate_system_compiled(&compiled, system, jobs)
+    evaluate_system_compiled(&model.compile(), system, jobs)
 }
 
 /// [`evaluate_system_jobs`] against an already-compiled model (e.g. one

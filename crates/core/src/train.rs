@@ -846,7 +846,8 @@ impl TrainedModel {
     /// Lower the whole battery into a [`CompiledModel`]: every boxed
     /// model becomes its flattened `secml` compiled form for batched
     /// scoring and serde-free persistence. Predictions are bit-identical
-    /// to this model's row-at-a-time path.
+    /// to this model's row-at-a-time path. Builds no scoring kernels:
+    /// those come on first use or from [`CompiledModel::optimize`].
     pub fn compile(&self) -> CompiledModel {
         CompiledModel {
             feature_names: self.feature_names.clone(),
@@ -871,6 +872,7 @@ impl TrainedModel {
                 .map(|(band, m)| (*band, m.compile().expect("linreg always compiles")))
                 .collect(),
             risk_weights: self.risk_weights.clone(),
+            warm: Default::default(),
         }
     }
 }

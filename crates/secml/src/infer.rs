@@ -1,4 +1,4 @@
-//! Batched inference: flattened models and blocked row-major scoring.
+//! Batched inference: flattened models and blocked columnar scoring.
 //!
 //! Training produces pointer-linked `Box` trees that score one row at a
 //! time — every node visit chases a heap pointer, and scoring a corpus
@@ -9,19 +9,20 @@
 //! inline in the `threshold` slot under a `u32::MAX` feature sentinel),
 //! and a whole forest shares one node table ([`FlatForest`]).
 //!
-//! `predict_batch` then scores blocks of [`BLOCK_ROWS`] rows at a time:
-//! each block is gathered from the columnar [`ColMatrix`] into one
-//! row-major scratch buffer, and every tree traverses all rows of the
-//! block before the next tree starts, so a tree's nodes are fetched once
-//! per block instead of once per row. Linear, naive-Bayes and k-NN
-//! models get columnar batch loops with the same accumulation order as
-//! their row-major `predict_proba`.
+//! Tree-shaped models score a [`ColMatrix`] through exactly two paths:
+//! the compiled program of [`crate::kernel`] (built once, on first batched
+//! use, and kept), and the scalar row walk (`FlatTree::score_from`),
+//! which takes over when the matrix lacks a column the trees split on or
+//! the table refuses to quantize. Linear, naive-Bayes and k-NN models get
+//! columnar batch loops with the same accumulation order as their
+//! row-major `predict_proba`.
 //!
 //! **Every batched prediction is bit-identical to the boxed per-row
-//! path**: traversals use the same `value <= threshold` comparison with
-//! the same missing-feature default, and every floating-point fold (tree
-//! sums, dot products, log-likelihoods, neighbour votes) runs in the
-//! same element order as the row-major original.
+//! path**: the program makes exactly the `value <= threshold` decisions
+//! the row walk makes (missing features read 0.0 on the row walk), and
+//! every floating-point fold (tree sums, dot products, log-likelihoods,
+//! neighbour votes) runs in the same element order as the row-major
+//! original.
 //!
 //! Compiled models also (de)serialize through the serde-free
 //! [`bytes`](crate::bytes) codec, so a trained battery can be saved once
@@ -29,43 +30,30 @@
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::dataset::ColMatrix;
+use crate::kernel::ForestProgram;
 use crate::tree::Node;
 
-/// Rows gathered per scoring block. 64 rows × ~100 features × 8 bytes is
-/// ~50 KiB of scratch — comfortably L2-resident alongside the node table.
+/// Rows per scoring block: the compiled program packs one block row per
+/// bit of a `u64` row mask.
 pub(crate) const BLOCK_ROWS: usize = 64;
 
 /// Feature sentinel marking a leaf node; the leaf value lives in the
 /// node's `threshold` slot.
 pub(crate) const LEAF: u32 = u32::MAX;
 
-/// Rows traversed in lockstep by the blocked kernel. Each lane is an
-/// independent root-to-leaf walk, so the loads of `LANES` rows overlap
-/// instead of serializing on one walk's dependency chain.
-pub(crate) const LANES: usize = 16;
-
-/// Gather `x` into row-major blocks of up to [`BLOCK_ROWS`] rows and hand
-/// each to `f` as `(first_row_index, real_rows, row_major_values)`; rows
-/// are `x.n_cols()`-wide consecutive slices of the last argument. The
-/// block is padded with all-zero rows up to a [`LANES`] multiple (real
-/// rows first), so the lockstep kernel never needs a scalar tail — sinks
-/// must ignore row indices at or beyond `real_rows`.
-pub(crate) fn for_each_block(x: &ColMatrix, mut f: impl FnMut(usize, usize, &[f64])) {
-    let width = x.n_cols();
-    let mut scratch = vec![0.0; BLOCK_ROWS * width];
-    let mut start = 0;
-    while start < x.n_rows() {
-        let len = BLOCK_ROWS.min(x.n_rows() - start);
-        let padded = len.next_multiple_of(LANES);
-        for j in 0..width {
-            for (r, &v) in x.col(j)[start..start + len].iter().enumerate() {
-                scratch[r * width + j] = v;
+/// Gather each row of `x` into one reused scratch row and map it through
+/// `f`, in row order — the scalar path every batched entry point falls
+/// back to.
+pub(crate) fn map_rows<T>(x: &ColMatrix, mut f: impl FnMut(&[f64]) -> T) -> Vec<T> {
+    let mut row = vec![0.0; x.n_cols()];
+    (0..x.n_rows())
+        .map(|i| {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = x.value(i, j);
             }
-        }
-        scratch[len * width..padded * width].fill(0.0);
-        f(start, len, &scratch[..padded * width]);
-        start += len;
-    }
+            f(&row)
+        })
+        .collect()
 }
 
 /// A decision or regression tree flattened into parallel node arrays.
@@ -78,18 +66,12 @@ pub struct FlatTree {
     pub(crate) threshold: Vec<f64>,
     pub(crate) left: Vec<u32>,
     pub(crate) right: Vec<u32>,
-    /// The kernel's leaf-rewritten node view — a pure function of the
-    /// arrays above, built once on first use instead of per scoring
-    /// call.
-    kt: std::sync::OnceLock<Box<KernelTables>>,
-    /// The quantized program, compiled once by [`optimize`](Self::optimize);
-    /// `None` inside means compilation was attempted and fell back.
-    opt: std::sync::OnceLock<Option<Box<crate::kernel::ForestProgram>>>,
+    /// The compiled program, built on first batched use; `None` inside
+    /// means the table does not quantize and batches take the row walk.
+    prog: std::sync::OnceLock<Option<Box<ForestProgram>>>,
 }
 
-/// Derived caches (`kt`, `opt`) are excluded: they are functions of the
-/// node table, and the kernel's leaf thresholds are `NaN`, which would
-/// make any tree compare unequal to itself.
+/// The cached program is excluded: it is a function of the node table.
 impl PartialEq for FlatTree {
     fn eq(&self, other: &Self) -> bool {
         self.feature == other.feature
@@ -104,9 +86,8 @@ impl FlatTree {
         self.feature.len()
     }
 
-    /// Leaves self-loop (`left == right == i`): the lockstep kernel then
-    /// needs no leaf branch — a lane that has reached its leaf keeps
-    /// re-selecting the same node until the tree's depth budget runs out.
+    /// Leaves self-loop (`left == right == i`), the shape `validate`
+    /// demands of wire tables.
     fn push_leaf(&mut self, value: f64) -> u32 {
         let i = self.feature.len() as u32;
         self.feature.push(LEAF);
@@ -145,7 +126,7 @@ impl FlatTree {
     /// are bit-identical (NaN features included: `NaN <= t` is false on
     /// both paths, taking the right branch).
     #[inline]
-    fn score_from(&self, root: u32, row: &[f64]) -> f64 {
+    pub(crate) fn score_from(&self, root: u32, row: &[f64]) -> f64 {
         let mut i = root as usize;
         loop {
             let f = self.feature[i];
@@ -161,152 +142,35 @@ impl FlatTree {
         }
     }
 
-    /// Max root-to-leaf edge count from every node, via one reverse pass
-    /// (children always follow their parent — the preorder invariant
-    /// `validate` enforces — so suffix depths are final when read).
-    pub(crate) fn node_depths(&self) -> Vec<u32> {
-        let n = self.feature.len();
-        let mut depth = vec![0u32; n];
-        for i in (0..n).rev() {
-            if self.feature[i] != LEAF {
-                depth[i] = 1 + depth[self.left[i] as usize].max(depth[self.right[i] as usize]);
-            }
-        }
-        depth
-    }
-
-    /// Rewrite the node table for the lockstep kernel: leaves get feature
-    /// 0 (so every per-step row load is in-bounds) and threshold `NaN`
-    /// (so the `v <= t` select is always false and a finished lane takes
-    /// `right`, which self-loops). Split nodes are untouched, so the
-    /// kernel makes exactly the decisions `score_from` makes. Built once
-    /// and cached — repeated scalar/explain calls stop rebuilding it.
-    pub(crate) fn kernel_tables(&self) -> &KernelTables {
-        self.kt.get_or_init(|| {
-            let mut max_feature = 0;
-            let mut feature_right = Vec::with_capacity(self.feature.len());
-            let mut threshold = Vec::with_capacity(self.threshold.len());
-            for i in 0..self.feature.len() {
-                let (f, t) = if self.feature[i] == LEAF {
-                    (0, f64::NAN)
-                } else {
-                    max_feature = max_feature.max(self.feature[i]);
-                    (self.feature[i], self.threshold[i])
-                };
-                feature_right.push(u64::from(f) << 32 | u64::from(self.right[i]));
-                threshold.push(t);
-            }
-            Box::new(KernelTables {
-                feature_right,
-                threshold,
-                max_feature,
-            })
-        })
-    }
-
-    /// Compile this tree's quantized program (a single-tree forest in
-    /// kernel terms). Idempotent; scoring uses the program only after
-    /// this has run, so un-optimized instances stay the exact
-    /// interpreter. Returns whether a compiled program is active.
+    /// Build the compiled program now instead of on first batched use.
+    /// Idempotent; returns whether a program is active (`false` = the
+    /// table does not quantize and batches keep the row walk).
     pub fn optimize(&self) -> bool {
-        self.opt
-            .get_or_init(|| {
-                let depth = self.node_depths()[0];
-                crate::kernel::ForestProgram::compile(self, &[0], &[depth]).map(Box::new)
-            })
-            .is_some()
+        self.program().is_some()
     }
 
-    /// The compiled program, if [`optimize`](Self::optimize) has run and
-    /// succeeded.
-    #[inline]
-    pub(crate) fn program(&self) -> Option<&crate::kernel::ForestProgram> {
-        self.opt.get().and_then(|p| p.as_deref())
+    /// The compiled program (a single-tree forest in kernel terms),
+    /// built on first call.
+    pub(crate) fn program(&self) -> Option<&ForestProgram> {
+        self.prog
+            .get_or_init(|| ForestProgram::compile(self, &[0]).map(Box::new))
+            .as_deref()
     }
 
-    /// Walk every row of a row-major `block` (whose row count must be a
-    /// [`LANES`] multiple, as [`for_each_block`] guarantees) from `root`,
-    /// calling `sink(row_index_in_block, leaf_value)` — including for any
-    /// zero-padding rows, which the sink must discard. `kt` comes from
-    /// [`kernel_tables`](FlatTree::kernel_tables) and every feature in it
-    /// must be `< width` (the caller checks `max_feature` once).
-    ///
-    /// Rows advance [`LANES`] at a time in lockstep for exactly `depth`
-    /// steps with no leaf test in the hot loop: a lane that reaches its
-    /// leaf keeps failing the `NaN` comparison and holds position through
-    /// the self-looping `right` child. The preorder invariant `left ==
-    /// i + 1` (enforced by `validate`) makes the taken branch pure
-    /// arithmetic, so each step is four loads plus a select and the
-    /// lanes' dependency chains overlap. Each lane makes exactly the
-    /// decisions `score_from` makes, so leaf values — and therefore
-    /// predictions — are bit-identical.
-    fn score_block(
-        &self,
-        kt: &KernelTables,
-        root: u32,
-        depth: u32,
-        block: &[f64],
-        width: usize,
-        sink: &mut impl FnMut(usize, f64),
-    ) {
-        let mut base = 0;
-        for chunk in block.chunks_exact(width * LANES) {
-            let mut idx = [root as usize; LANES];
-            for _ in 0..depth {
-                for (l, i) in idx.iter_mut().enumerate() {
-                    let fr = kt.feature_right[*i];
-                    let v = chunk[l * width + (fr >> 32) as usize];
-                    *i = if v <= kt.threshold[*i] {
-                        *i + 1
-                    } else {
-                        (fr & u64::from(u32::MAX)) as usize
-                    };
-                }
-            }
-            for (l, &i) in idx.iter().enumerate() {
-                sink(base + l, self.threshold[i]);
-            }
-            base += LANES;
-        }
+    /// The program, if it can score `x`; `None` sends `x` down the row
+    /// walk (see [`ForestProgram::fits`]).
+    pub(crate) fn batch_program(&self, x: &ColMatrix) -> Option<&ForestProgram> {
+        self.program().filter(|p| p.fits(x.n_cols()))
     }
 
-    /// Score every row of `x` (blocked lockstep traversal, falling back
-    /// to the plain row walk when the tree references features beyond
-    /// the matrix width — those reads default to 0.0, which the kernel's
-    /// unconditional loads cannot express). After [`optimize`](Self::optimize)
-    /// the quantized program runs instead, under the same fallback
-    /// condition and with bit-identical results.
+    /// Score every row of `x` through the compiled program, or the row
+    /// walk where the program cannot serve `x`; bit-identical either way.
     pub fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
-        let width = x.n_cols();
-        if width == 0 {
-            return (0..x.n_rows()).map(|_| self.score_from(0, &[])).collect();
-        }
-        let kt = self.kernel_tables();
-        if kt.max_feature as usize >= width {
-            let mut row = vec![0.0; width];
-            return (0..x.n_rows())
-                .map(|i| {
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v = x.value(i, j);
-                    }
-                    self.score_from(0, &row)
-                })
-                .collect();
-        }
+        let Some(prog) = self.batch_program(x) else {
+            return map_rows(x, |row| self.score_from(0, row));
+        };
         let mut out = vec![0.0; x.n_rows()];
-        if let Some(prog) = self.program() {
-            prog.walk_batch(x, &mut |r, _leaf, v| out[r] = v);
-            return out;
-        }
-        let depth = self.node_depths()[0];
-        for_each_block(x, |start, rows, block| {
-            let dst = &mut out[start..start + rows];
-            self.score_block(kt, 0, depth, block, width, &mut |r, v| {
-                if r < dst.len() {
-                    dst[r] = v;
-                }
-            });
-        });
+        prog.walk_batch(x, &mut |r, _leaf, v| out[r] = v);
         out
     }
 
@@ -331,10 +195,15 @@ impl FlatTree {
 
     /// Structural sanity: equal-length arrays, at least one node, every
     /// split's left child at exactly `i + 1` with the right child in
-    /// bounds after it (the preorder invariants `node_depths` and the
-    /// lockstep kernel rely on, which also rule out cycles), and every
-    /// leaf self-looping (ditto). A corrupt table must fail at load time,
-    /// not loop or index out of bounds mid-traversal.
+    /// bounds after it (the preorder invariants the compiled program and
+    /// attribution rely on, which also rule out cycles), and every leaf
+    /// self-looping. A corrupt table must fail at load time, not loop or
+    /// index out of bounds mid-traversal.
+    ///
+    /// Right children may be shared, so a wire table can be a DAG whose
+    /// root-to-leaf path count doubles per level. Attribution weighs
+    /// subtrees by that count in `u64`, so a table whose count overflows
+    /// is rejected too (a trained tree has fewer paths than nodes).
     fn validate(&self) -> Result<(), String> {
         let n = self.feature.len();
         if n == 0 {
@@ -343,31 +212,26 @@ impl FlatTree {
         if self.threshold.len() != n || self.left.len() != n || self.right.len() != n {
             return Err("flat tree arrays disagree on node count".into());
         }
-        for i in 0..n {
+        // Children follow their parent, so a reverse pass sees every
+        // child's path count before the parent needs it.
+        let mut paths = vec![0u64; n];
+        for i in (0..n).rev() {
             let (l, r) = (self.left[i] as usize, self.right[i] as usize);
             if self.feature[i] == LEAF {
                 if l != i || r != i {
                     return Err(format!("flat tree leaf {i} does not self-loop"));
                 }
+                paths[i] = 1;
             } else if l != i + 1 || r <= i || r >= n {
                 return Err(format!("flat tree node {i} has out-of-order children"));
+            } else {
+                paths[i] = paths[l].checked_add(paths[r]).ok_or_else(|| {
+                    format!("flat tree node {i} has more than 2^64 root-to-leaf paths")
+                })?;
             }
         }
         Ok(())
     }
-}
-
-/// The lockstep kernel's view of a [`FlatTree`]: same node indices, but
-/// leaves carry feature 0 and a `NaN` threshold so the hot loop needs no
-/// leaf test or bounds fallback, and each node's feature and right child
-/// are packed into one `u64` (feature high, right low) so a step is one
-/// load fewer. See [`kernel_tables`](FlatTree::kernel_tables).
-#[derive(Debug, Clone)]
-pub(crate) struct KernelTables {
-    pub(crate) feature_right: Vec<u64>,
-    pub(crate) threshold: Vec<f64>,
-    /// Largest real feature index — the caller's one-time width check.
-    pub(crate) max_feature: u32,
 }
 
 /// Flatten a boxed tree root (`None` = unfitted, which predicts
@@ -396,29 +260,25 @@ pub(crate) fn flatten_tree(root: Option<&Node>, default_value: f64) -> FlatTree 
 pub struct FlatForest {
     pub(crate) roots: Vec<u32>,
     pub(crate) nodes: FlatTree,
-    /// Per-root max depth (not serialized — recomputed from the table),
-    /// the lockstep kernel's step budget.
-    pub(crate) depths: Vec<u32>,
     /// Number of voting trees as `f64` — the division denominator.
     pub(crate) n_trees: f64,
     /// Prediction when the forest has no trees (0.5 classifier, 0.0
     /// regressor), matching the boxed empty-forest guard.
     pub(crate) empty_value: f64,
     /// Attribution's derived view (subtree expectations + per-edge
-    /// credits) — like `kernel`, a pure function of the node table, but
+    /// credits) — like `prog`, a pure function of the node table, but
     /// built lazily on the first `attribute_batch`/`attribute_row` so
     /// scoring-only deployments never pay for it (boxed: it must not
     /// grow the enum variants scoring matches on).
     pub(crate) attr: std::sync::OnceLock<Box<crate::attribution::AttrTables>>,
-    /// The quantized program, compiled once by [`optimize`](Self::optimize);
-    /// `None` inside means compilation was attempted and fell back.
-    opt: std::sync::OnceLock<Option<Box<crate::kernel::ForestProgram>>>,
+    /// The compiled program over every root, built on first batched use;
+    /// `None` inside means the table does not quantize and batches take
+    /// the row walk.
+    prog: std::sync::OnceLock<Option<Box<ForestProgram>>>,
 }
 
-/// Derived caches (`depths`, the node table's kernel view, `attr`,
-/// `opt`) are excluded: they are functions of the node table, and the
-/// kernel's leaf thresholds are `NaN`, which would make any forest
-/// compare unequal to itself.
+/// Derived caches (`attr`, `prog`) are excluded: they are functions of
+/// the node table.
 impl PartialEq for FlatForest {
     fn eq(&self, other: &Self) -> bool {
         self.roots == other.roots
@@ -437,30 +297,29 @@ impl FlatForest {
         self.nodes.n_nodes()
     }
 
-    /// Lower the forest into its quantized, feature-pruned, depth-unrolled
-    /// program (see [`crate::kernel`]). Idempotent; batched scoring and
-    /// attribution use the program only after this has run, so
-    /// un-optimized instances stay the exact interpreter. Returns whether
-    /// a compiled program is active (`false` = exactness fallback).
+    /// Build the compiled program now instead of on first batched use.
+    /// Idempotent; returns whether a program is active (`false` = the
+    /// table does not quantize and batches keep the row walk).
     pub fn optimize(&self) -> bool {
-        self.opt
-            .get_or_init(|| {
-                crate::kernel::ForestProgram::compile(&self.nodes, &self.roots, &self.depths)
-                    .map(Box::new)
-            })
-            .is_some()
+        self.program().is_some()
     }
 
-    /// The compiled program, if [`optimize`](Self::optimize) has run and
-    /// succeeded.
-    #[inline]
-    pub(crate) fn program(&self) -> Option<&crate::kernel::ForestProgram> {
-        self.opt.get().and_then(|p| p.as_deref())
+    /// The compiled program, built on first call.
+    pub(crate) fn program(&self) -> Option<&ForestProgram> {
+        self.prog
+            .get_or_init(|| ForestProgram::compile(&self.nodes, &self.roots).map(Box::new))
+            .as_deref()
+    }
+
+    /// The program, if it can score `x`; `None` sends `x` down the row
+    /// walk (see [`ForestProgram::fits`]).
+    pub(crate) fn batch_program(&self, x: &ColMatrix) -> Option<&ForestProgram> {
+        self.program().filter(|p| p.fits(x.n_cols()))
     }
 
     /// Mean of per-tree predictions for one row, in tree order.
     #[inline]
-    fn score_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn score_row(&self, row: &[f64]) -> f64 {
         let mut sum = 0.0;
         for &root in &self.roots {
             sum += self.nodes.score_from(root, row);
@@ -468,56 +327,27 @@ impl FlatForest {
         sum / self.n_trees
     }
 
-    /// Score every row of `x`: per block, every tree traverses all rows
-    /// before the next tree starts, keeping the tree's nodes cache-hot.
+    /// Score every row of `x` through the compiled program, or the row
+    /// walk where the program cannot serve `x`. The program folds each
+    /// row's leaves in forest order, like `score_row`, so sums — and
+    /// the final division — are bit-identical either way.
     pub fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
         let n = x.n_rows();
         if self.roots.is_empty() {
             return vec![self.empty_value; n];
         }
-        let width = x.n_cols();
-        if width == 0 {
-            return (0..n).map(|_| self.score_row(&[])).collect();
-        }
-        let kt = self.nodes.kernel_tables();
-        if kt.max_feature as usize >= width {
-            let mut row = vec![0.0; width];
-            return (0..n)
-                .map(|i| {
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v = x.value(i, j);
-                    }
-                    self.score_row(&row)
-                })
-                .collect();
-        }
+        let Some(prog) = self.batch_program(x) else {
+            return map_rows(x, |row| self.score_row(row));
+        };
         let mut out = vec![0.0; n];
-        if let Some(prog) = self.program() {
-            // The compiled program folds leaves in the interpreter's
-            // exact order (trees in forest order per row), so sums — and
-            // the final division — are bit-identical.
-            // SAFETY: walk_batch only fires rows `< x.n_rows()` =
-            // out.len(); this sink runs once per (row, tree) and is the
-            // single hottest callback in batch scoring.
-            prog.walk_batch(x, &mut |r, _leaf, v| unsafe {
-                *out.get_unchecked_mut(r) += v;
-            });
-            out.iter_mut().for_each(|o| *o /= self.n_trees);
-            return out;
-        }
-        for_each_block(x, |start, rows, block| {
-            // Padded accumulator: pad-row sums land here too and are
-            // simply never copied out, keeping the sink branch-free.
-            let mut acc = [0.0f64; BLOCK_ROWS];
-            let acc = &mut acc[..block.len() / width];
-            for (&root, &depth) in self.roots.iter().zip(&self.depths) {
-                self.nodes
-                    .score_block(kt, root, depth, block, width, &mut |r, v| acc[r] += v);
-            }
-            for (dst, sum) in out[start..start + rows].iter_mut().zip(&*acc) {
-                *dst = sum / self.n_trees;
-            }
+        prog.walk_batch(x, &mut |r, _leaf, v| {
+            // SAFETY: `walk_batch` only fires rows `< x.n_rows()` =
+            // `out.len()`. This sink runs once per (row, tree) and is
+            // the hottest callback in batch scoring.
+            debug_assert!(r < out.len());
+            unsafe { *out.get_unchecked_mut(r) += v };
         });
+        out.iter_mut().for_each(|o| *o /= self.n_trees);
         out
     }
 
@@ -534,16 +364,13 @@ impl FlatForest {
         if let Some(&root) = roots.iter().find(|&&root| root as usize >= nodes.n_nodes()) {
             return Err(format!("flat forest root {root} is out of range"));
         }
-        let all_depths = nodes.node_depths();
-        let depths = roots.iter().map(|&r| all_depths[r as usize]).collect();
         Ok(FlatForest {
-            depths,
             roots,
             nodes,
             n_trees: r.get_f64()?,
             empty_value: r.get_f64()?,
             attr: Default::default(),
-            opt: Default::default(),
+            prog: Default::default(),
         })
     }
 }
@@ -565,15 +392,13 @@ pub(crate) fn flatten_forest<'a>(
         // Keep the invariant that a node table is never empty.
         nodes.push_leaf(empty_value);
     }
-    let all_depths = nodes.node_depths();
     FlatForest {
         n_trees: roots.len() as f64,
-        depths: roots.iter().map(|&r| all_depths[r as usize]).collect(),
         roots,
         nodes,
         empty_value,
         attr: Default::default(),
-        opt: Default::default(),
+        prog: Default::default(),
     }
 }
 
@@ -627,17 +452,11 @@ pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 /// Batched k-NN vote fractions: one reused distance scratch per call
 /// instead of a fresh allocation per row.
 fn knn_batch(k: usize, width: usize, train: &[f64], labels: &[u32], x: &ColMatrix) -> Vec<f64> {
-    let n = x.n_rows();
     if labels.is_empty() {
-        return vec![0.5; n];
+        return vec![0.5; x.n_rows()];
     }
-    let mut row = vec![0.0; x.n_cols()];
     let mut dists: Vec<(f64, u32)> = Vec::with_capacity(labels.len());
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = x.value(i, j);
-        }
+    map_rows(x, |row| {
         dists.clear();
         if width == 0 {
             dists.extend(labels.iter().map(|&l| (0.0, l)));
@@ -646,15 +465,14 @@ fn knn_batch(k: usize, width: usize, train: &[f64], labels: &[u32], x: &ColMatri
                 train
                     .chunks_exact(width)
                     .zip(labels)
-                    .map(|(t, &l)| (sq_dist(&row, t), l)),
+                    .map(|(t, &l)| (sq_dist(row, t), l)),
             );
         }
         let k = k.min(dists.len());
         dists.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0));
         let votes: u32 = dists[..k].iter().map(|&(_, l)| l).sum();
-        out.push(votes as f64 / k as f64);
-    }
-    out
+        votes as f64 / k as f64
+    })
 }
 
 /// A classifier compiled for batched scoring and binary persistence.
@@ -711,10 +529,11 @@ impl CompiledClassifier {
         }
     }
 
-    /// Compile tree-shaped models to their quantized programs (see
-    /// [`crate::kernel`]); other learners are already branch-free and
-    /// return `true` unchanged. Returns whether every kernel this model
-    /// could compile is active.
+    /// Build tree-shaped models' compiled programs now instead of on
+    /// first batched use (see [`crate::kernel`]); other learners have
+    /// none and return `true`. Returns whether the model scores batches
+    /// through its batch kernel (`false` = a table that refuses to
+    /// quantize and keeps the row walk).
     pub fn optimize(&self) -> bool {
         match self {
             CompiledClassifier::Forest(forest) => forest.optimize(),
@@ -723,9 +542,9 @@ impl CompiledClassifier {
         }
     }
 
-    /// The active compiled program, if this is a tree-shaped model whose
-    /// `optimize` succeeded.
-    pub(crate) fn program(&self) -> Option<&crate::kernel::ForestProgram> {
+    /// The compiled program, if this is a tree-shaped model whose table
+    /// quantizes.
+    pub(crate) fn program(&self) -> Option<&ForestProgram> {
         match self {
             CompiledClassifier::Forest(forest) => forest.program(),
             CompiledClassifier::Tree(tree) => tree.program(),
@@ -824,18 +643,17 @@ impl CompiledClassifier {
     }
 }
 
-/// Link every optimized tree-shaped model of a battery to one shared
-/// quantization (the union of their cut tables), so batched scoring
-/// ranks each matrix once per call instead of once per model — see
-/// [`crate::kernel`]. Call after the battery's `optimize` pass; models
-/// without an active program (non-tree learners, exactness fallbacks)
-/// simply don't participate. Idempotent, and a no-op when the merged
-/// tables would not quantize losslessly.
+/// Link every tree-shaped model of a battery to one shared quantization
+/// (the union of their cut tables), so batched scoring ranks each matrix
+/// once per call instead of once per model — see [`crate::kernel`].
+/// Builds any program not yet built; models without one (non-tree
+/// learners, exactness fallbacks) simply don't participate. Idempotent,
+/// and a no-op when the merged tables would not quantize losslessly.
 pub fn link_battery<'a>(
     classifiers: impl IntoIterator<Item = &'a CompiledClassifier>,
     regressors: impl IntoIterator<Item = &'a CompiledRegressor>,
 ) {
-    let programs: Vec<&crate::kernel::ForestProgram> = classifiers
+    let programs: Vec<&ForestProgram> = classifiers
         .into_iter()
         .filter_map(|m| m.program())
         .chain(regressors.into_iter().filter_map(|m| m.program()))
@@ -868,8 +686,8 @@ impl CompiledRegressor {
         }
     }
 
-    /// Compile tree-shaped models to their quantized programs (see
-    /// [`crate::kernel`]); linear models are already branch-free.
+    /// Build tree-shaped models' compiled programs now; see
+    /// [`CompiledClassifier::optimize`].
     pub fn optimize(&self) -> bool {
         match self {
             CompiledRegressor::Linear { .. } => true,
@@ -878,9 +696,9 @@ impl CompiledRegressor {
         }
     }
 
-    /// The active compiled program, if this is a tree-shaped model whose
-    /// `optimize` succeeded.
-    pub(crate) fn program(&self) -> Option<&crate::kernel::ForestProgram> {
+    /// The compiled program, if this is a tree-shaped model whose table
+    /// quantizes.
+    pub(crate) fn program(&self) -> Option<&ForestProgram> {
         match self {
             CompiledRegressor::Linear { .. } => None,
             CompiledRegressor::Tree(tree) => tree.program(),
@@ -1126,7 +944,7 @@ mod tests {
         assert!(decoded.predict_batch(&x).iter().all(|p| p.is_nan()));
 
         // A NaN *split threshold*: `v <= NaN` is false for every v, so
-        // both the row walk and the lockstep kernel must take the right
+        // both the row walk and the compiled program must take the right
         // branch — deterministically, with no panic.
         let mut w = ByteWriter::new();
         w.put_u8(1);
@@ -1136,7 +954,7 @@ mod tests {
         w.put_u32s(&[2, 1, 2]);
         let bytes = w.into_bytes();
         let decoded = CompiledClassifier::decode(&mut ByteReader::new(&bytes)).unwrap();
-        // Enough rows to exercise the blocked kernel, not just the tail.
+        // Enough rows to span a full block and a short tail.
         let x = ColMatrix::from_rows(&synth_rows(130, 3, 19));
         assert!(decoded.predict_batch(&x).iter().all(|&p| p == 2.0));
     }
@@ -1161,6 +979,55 @@ mod tests {
                 CompiledClassifier::decode(&mut r).is_err(),
                 "decode succeeded on a {cut}-byte truncation"
             );
+        }
+    }
+
+    /// A one-tree wire forest whose nodes `i < n - 2` split to `i + 1`
+    /// and `i + 2` (both legal preorder children) and whose two leaves
+    /// are 1.0: its root-to-leaf path count grows like Fibonacci in `n`.
+    fn fibonacci_dag(n: usize) -> Vec<u8> {
+        let splits = n - 2;
+        let split = |i: usize| i < splits;
+        let mut w = ByteWriter::new();
+        w.put_u8(0); // forest tag
+        w.put_u32s(&[0]);
+        let feature: Vec<u32> = (0..n)
+            .map(|i| if split(i) { (i % 3) as u32 } else { LEAF })
+            .collect();
+        let threshold: Vec<f64> = (0..n)
+            .map(|i| {
+                if split(i) {
+                    i as f64 * 0.125 - 4.0
+                } else {
+                    1.0
+                }
+            })
+            .collect();
+        let child = |i: usize, step: usize| (if split(i) { i + step } else { i }) as u32;
+        w.put_u32s(&feature);
+        w.put_f64s(&threshold);
+        w.put_u32s(&(0..n).map(|i| child(i, 1)).collect::<Vec<_>>());
+        w.put_u32s(&(0..n).map(|i| child(i, 2)).collect::<Vec<_>>());
+        w.put_f64(1.0);
+        w.put_f64(0.5);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn hostile_dag_path_counts_fail_decode() {
+        // 120 nodes give ~F(120) ≈ 5e24 root-to-leaf paths, past u64:
+        // attribution's leaf counts would overflow, so decode refuses.
+        let err = CompiledClassifier::decode(&mut ByteReader::new(&fibonacci_dag(120)))
+            .expect_err("path count overflows u64");
+        assert!(err.contains("root-to-leaf paths"), "{err}");
+        // The same shape at 60 nodes (~1.5e12 paths, exact in f64)
+        // decodes, scores and attributes a leaf-wide 1.0 exactly.
+        let model = CompiledClassifier::decode(&mut ByteReader::new(&fibonacci_dag(60))).unwrap();
+        let x = ColMatrix::from_rows(&synth_rows(70, 3, 31));
+        assert!(model.predict_batch(&x).iter().all(|&p| p == 1.0));
+        for att in model.attribute_batch(&x) {
+            assert_eq!(att.baseline, 1.0);
+            assert_eq!(att.prediction, 1.0);
         }
     }
 

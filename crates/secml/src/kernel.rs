@@ -1,14 +1,12 @@
 //! The battery compiler: lowers a flattened forest into a quantized,
-//! feature-pruned, depth-unrolled scoring program.
+//! feature-pruned program that scores whole blocks of rows at once.
 //!
-//! The PR 4 interpreter ([`FlatTree::score_block`]-style lockstep over
-//! [`KernelTables`](crate::infer::KernelTables)) still pays for generic
-//! trees on every step: an 8-byte packed node plus an 8-byte threshold
-//! load, a double compare, and a 50 KiB row-major `f64` block gathered
-//! per model per block whether or not a column is ever split on.
-//! [`ForestProgram`] removes that interpretive overhead at *compile*
-//! time — a load/reload-time step behind `optimize()`, never a wire
-//! format change:
+//! [`ForestProgram`] is the only batched tree engine. A forest builds
+//! it once, on its first batched scoring or attribution call (or up
+//! front through `optimize()`), and keeps it; the wire format never
+//! changes. The scalar row walk (`FlatTree::score_from`) serves the two
+//! cases the program cannot: matrices narrower than the forest's split
+//! columns, and tables that refuse to quantize.
 //!
 //! - **Quantized thresholds.** Every feature's split thresholds across
 //!   the whole forest become a sorted cut table, and each row value is
@@ -17,64 +15,47 @@
 //!   v}`, `NaN` mapping above every cut) and a node's quantized
 //!   threshold `qt = bucket(threshold)`, the IEEE comparison `v <= t` is
 //!   *exactly* `bucket(v) <= qt` — including `-0.0`/`0.0` ties and NaN
-//!   row values. A `NaN` split threshold (always-false, go right) and a
-//!   leaf both encode as `qt = 0`, which no bucket (≥ 1) ever satisfies.
+//!   row values. A `NaN` split threshold (always-false, go right)
+//!   encodes as `qt = 0`, which no bucket (≥ 1) ever satisfies.
 //!   When a feature's threshold set cannot quantize losslessly into the
 //!   `u16` rank space (> [`MAX_CUTS`] distinct cuts), `compile` refuses
-//!   and the caller keeps the exact interpreter — the exactness
-//!   fallback. Ranking is a branchless binary search over a
-//!   power-of-two cut table padded with `+∞`: `log2(cuts)`
-//!   conditional-move steps per value, no sort of the matrix, and the
-//!   searches for different rows are independent so they pipeline.
-//! - **Feature-subset pruning.** Each tree records the columns its
-//!   splits actually touch; row prep buckets only the union of touched
-//!   columns into a packed per-matrix `u16` table (row-major per
-//!   feature slot), so dead columns are never gathered and the whole
-//!   working set drops from ~50 KiB of `f64` per block to a few KiB of
-//!   ranks that stay cache-resident across all 200 trees.
-//! - **Mask-propagation blocks.** A full block never descends per row
-//!   at all. The program first builds, per feature, a table of 64-bit
-//!   row masks indexed by cut rank — `mask(qt)` = "rows of this block
-//!   whose bucket is ≤ qt", a histogram over the block's ranks followed
-//!   by a prefix-OR — and every split node's compare against the whole
-//!   block becomes *one load* of `mask(qt)`. Each tree is then walked
-//!   once in preorder, propagating row-set masks (`left = m & mask`,
-//!   `right = m & !mask`) and skipping any subtree whose mask goes
-//!   empty, so the work scales with the nodes the block actually
-//!   reaches (≈ one visit per node) instead of `rows × depth` lockstep
-//!   steps. Landed rows pop out of the leaf masks bit by bit, one
-//!   `(row, leaf, value)` sink call each.
-//! - **Depth-unrolled hot trees.** Short blocks — serve-style
-//!   single-row scoring, tiny batch tails below [`MASK_MIN_ROWS`] —
-//!   can't amortize mask tables, so trees whose depth is at most
-//!   [`UNROLL_MAX_DEPTH`] also compile a perfect-binary ladder: slot
-//!   `j` steps to `2j + 1 + (bucket > qt)` with no child pointer load,
-//!   the step count a compile-time constant (monomorphized per depth),
-//!   early leaves padded down the always-right spine with `qt = 0`
-//!   sentinels. Deeper trees (wire-decoded, custom configs) run a
-//!   quantized lockstep loop over the shared node table on that path.
+//!   and the caller keeps the row walk — the exactness fallback.
+//! - **Feature-subset pruning.** Row prep buckets only the union of the
+//!   columns the forest's splits touch into a packed per-matrix `u16`
+//!   table (one run per feature slot), so dead columns are never read
+//!   and the working set is a few KiB of ranks that stay cache-resident
+//!   across all trees.
+//! - **Mask-propagation blocks.** No row ever descends on its own. For
+//!   each block of up to [`BLOCK_ROWS`] rows the program builds, per
+//!   feature, a table of 64-bit row masks indexed by cut rank —
+//!   `mask(qt)` = "rows of this block whose bucket is ≤ qt", a
+//!   histogram over the block's ranks followed by a prefix-OR — and
+//!   every split node's compare against the whole block becomes *one
+//!   load* of `mask(qt)`. Each tree is then walked once in preorder,
+//!   propagating row-set masks (`left = m & mask`, `right = m & !mask`)
+//!   and skipping any subtree whose mask goes empty, so the work scales
+//!   with the nodes the block actually reaches. Landed rows pop out of
+//!   the leaf masks bit by bit, one `(row, leaf, value)` sink call each.
+//!   The same walk serves a one-row serve request and a 64-row batch
+//!   block: per-lane descent engines (an unrolled depth ladder, a
+//!   quantized lockstep) were measured against it at every block size
+//!   and never won by more than 10% at a block size the system sends (see
+//!   DESIGN.md §14).
 //!
-//! Every decision the program makes is provably the decision the
-//! interpreter makes, so leaf values — and therefore scores *and*
-//! attribution deposits, which only depend on the landed leaf — are
-//! bit-identical. The equality gate in `tests/` and the
-//! `inference_kernel` bench enforce this end to end.
+//! Every decision the program makes is provably the decision the row
+//! walk makes, so leaf values — and therefore scores *and* attribution
+//! deposits, which only depend on the landed leaf — are bit-identical.
+//! The fuzz harness in `tests/` and the `inference_kernel` bench
+//! enforce this end to end.
 
 use crate::dataset::ColMatrix;
-use crate::infer::{FlatTree, BLOCK_ROWS, LANES, LEAF};
+use crate::infer::{FlatTree, BLOCK_ROWS, LEAF};
 
-/// Trees at or below this depth compile to the branchless unrolled
-/// ladder; deeper trees keep the (quantized) lockstep loop. 8 matches
-/// the default `TreeConfig::max_depth`, so trained batteries unroll
-/// every tree; the ladder for depth 8 is 255 nodes + 256 leaves — about
-/// 2 KiB, comfortably L1-resident while a tree sweeps a block.
-pub(crate) const UNROLL_MAX_DEPTH: u32 = 8;
-
-/// Blocks with at least this many rows run the mask-propagation walk;
-/// shorter blocks (single-row serve scoring, tail blocks of tiny
-/// batches) keep the ladder/lockstep descent, whose per-tree fixed
-/// cost is lower than building the per-block mask tables.
-pub(crate) const MASK_MIN_ROWS: usize = 32;
+/// Matrices shorter than this rank locally instead of through the
+/// battery's shared rank cache ([`SharedQuant`]). Serve scores one or
+/// two rows a request; keeping those short matrices off the cache
+/// mutex means concurrent shards never contend on it.
+pub(crate) const SHARED_RANK_MIN_ROWS: usize = 32;
 
 // The mask walk packs one block row per bit of a u64.
 const _: () = assert!(BLOCK_ROWS <= 64);
@@ -89,7 +70,7 @@ const COUNT_CUTS_MAX: usize = 64;
 /// Largest number of distinct cuts a feature may quantize into: buckets
 /// run `1 ..= cuts + 1` (the top bucket also absorbs `NaN`), and both
 /// must fit `u16`. Beyond this the threshold set does not quantize
-/// losslessly and `compile` falls back to the interpreter.
+/// losslessly and `compile` falls back to the row walk.
 pub(crate) const MAX_CUTS: usize = u16::MAX as usize - 1;
 
 /// One touched feature: its source column and the forest-wide sorted
@@ -175,9 +156,9 @@ impl FeatQuant {
 /// The cache keys on [`ColMatrix::identity`] — process-unique per
 /// construction, so a hit can only mean the same immutable matrix —
 /// and deliberately holds one entry: batch scoring walks one matrix
-/// across all models before moving on, and short blocks (serve-style
-/// single rows) never take this path at all (see
-/// [`ForestProgram::walk_batch`]), so there is nothing to thrash.
+/// across all models before moving on, and short matrices (serve-style
+/// single rows, below [`SHARED_RANK_MIN_ROWS`]) never take this path at
+/// all, so there is nothing to thrash.
 #[derive(Debug)]
 pub(crate) struct SharedQuant {
     feats: Vec<FeatQuant>,
@@ -329,41 +310,14 @@ fn qt_of(cuts: &[f64], t: f64) -> u16 {
     }
 }
 
-/// One compiled tree on the short-block path: either an unrolled
-/// perfect-binary ladder or a (root, depth) program over the shared
-/// quantized node table. Full blocks ignore this and run the
-/// mask-propagation walk from the tree's root.
-#[derive(Debug, Clone)]
-enum TreeProg {
-    /// Perfect-binary ladder of `2^depth - 1` packed nodes
-    /// (`feat_slot << 16 | qt`) and `2^depth` bottom slots. Slot
-    /// arithmetic replaces child pointers.
-    Unrolled {
-        depth: u32,
-        nodes: Vec<u32>,
-        /// Original node id for each bottom slot — attribution wants the
-        /// id, and values come from the shared `value` table, so the
-        /// ladder stays 2 KiB a tree instead of 4.
-        leaf: Vec<u32>,
-    },
-    /// Quantized lockstep over the shared table — the preorder
-    /// invariant (`left == i + 1`) holds globally, so no per-tree node
-    /// extraction is needed and DAG-shaped wire forests cost nothing.
-    Lockstep { root: u32, depth: u32 },
-}
-
 /// A [`FlatForest`](crate::infer::FlatForest) lowered to its vectorized
-/// form. Built once by [`compile`](ForestProgram::compile) (behind
-/// `optimize()`), immutable afterwards; scoring and attribution both
-/// drive [`walk_batch`](ForestProgram::walk_batch).
+/// form. Built once by [`compile`](ForestProgram::compile) on the
+/// forest's first batched use, immutable afterwards; scoring and
+/// attribution both drive [`walk_batch`](ForestProgram::walk_batch).
 #[derive(Debug, Clone)]
 pub(crate) struct ForestProgram {
+    /// Touched features, ascending by source column.
     feats: Vec<FeatQuant>,
-    /// Shared quantized node table:
-    /// `feat_slot << 48 | qt << 32 | right`. Leaves carry `qt = 0` and
-    /// their self-looping `right`, so a finished lockstep lane holds
-    /// position.
-    qnodes: Vec<u64>,
     /// The mask walk's node records: `maskofs << 32 | right`, where
     /// `maskofs` is the offset into the per-block mask table — split
     /// node `i` compares a whole block as `masks[maskofs]` (=
@@ -375,10 +329,9 @@ pub(crate) struct ForestProgram {
     /// (`0 ..= cuts + 1`); the extra trailing entry is the table size.
     feat_base: Vec<u32>,
     /// Original per-node values (leaf values in their threshold slots) —
-    /// the leaf lookup for every engine.
+    /// the leaf lookup.
     value: Vec<f64>,
     roots: Vec<u32>,
-    trees: Vec<TreeProg>,
     /// Battery-level quantization, installed once by [`link_programs`]
     /// after every program in the battery has compiled; absent means
     /// this program buckets matrices against its own tables.
@@ -386,14 +339,10 @@ pub(crate) struct ForestProgram {
 }
 
 impl ForestProgram {
-    /// Lower `(nodes, roots, depths)` — a validated flat forest — into a
+    /// Lower `(nodes, roots)` — a validated flat forest — into a
     /// program, or `None` when the table does not quantize losslessly
-    /// (the exactness fallback: the caller keeps the interpreter).
-    pub(crate) fn compile(
-        nodes: &FlatTree,
-        roots: &[u32],
-        depths: &[u32],
-    ) -> Option<ForestProgram> {
+    /// (the exactness fallback: the caller keeps the scalar row walk).
+    pub(crate) fn compile(nodes: &FlatTree, roots: &[u32]) -> Option<ForestProgram> {
         let n = nodes.n_nodes();
         // Distinct split columns in first-touch order, then sorted: the
         // union of per-tree touched columns (leaves contribute nothing).
@@ -441,7 +390,7 @@ impl ForestProgram {
         // starting at `feat_base[slot]`, one u64 row mask per rank per
         // block. Offsets must leave `u32::MAX` free as the leaf
         // sentinel; a forest big enough to overflow that keeps the
-        // interpreter.
+        // row walk.
         let mut feat_base: Vec<u32> = Vec::with_capacity(feats.len() + 1);
         let mut total = 0usize;
         for fq in &feats {
@@ -453,59 +402,47 @@ impl ForestProgram {
         }
         feat_base.push(total as u32);
 
-        let mut qnodes = Vec::with_capacity(n);
-        let mut mnodes = Vec::with_capacity(n);
-        for i in 0..n {
-            let f = nodes.feature[i];
-            if f == LEAF {
-                qnodes.push(u64::from(nodes.right[i]));
-                mnodes.push(u64::from(u32::MAX) << 32 | u64::from(nodes.right[i]));
-            } else {
-                let slot = slot_of(f);
-                let qt = qt_of(&feats[slot].cuts, nodes.threshold[i]);
-                qnodes.push((slot as u64) << 48 | u64::from(qt) << 32 | u64::from(nodes.right[i]));
-                mnodes.push(
-                    u64::from(feat_base[slot] + u32::from(qt)) << 32 | u64::from(nodes.right[i]),
-                );
-            }
-        }
-
-        let trees: Vec<TreeProg> = roots
-            .iter()
-            .zip(depths)
-            .map(|(&root, &depth)| {
-                if depth <= UNROLL_MAX_DEPTH {
-                    build_ladder(nodes, &feats, slot_of, root, depth)
+        let mnodes = (0..n)
+            .map(|i| {
+                let f = nodes.feature[i];
+                let ofs = if f == LEAF {
+                    u32::MAX
                 } else {
-                    TreeProg::Lockstep { root, depth }
-                }
+                    let slot = slot_of(f);
+                    feat_base[slot] + u32::from(qt_of(&feats[slot].cuts, nodes.threshold[i]))
+                };
+                u64::from(ofs) << 32 | u64::from(nodes.right[i])
             })
             .collect();
 
         Some(ForestProgram {
             feats,
-            qnodes,
             mnodes,
             feat_base,
             value: nodes.threshold.clone(),
             roots: roots.to_vec(),
-            trees,
             shared: std::sync::OnceLock::new(),
         })
+    }
+
+    /// Whether every column this program reads exists in a `width`-wide
+    /// matrix. The row walk reads a missing column as 0.0, which column
+    /// ranking cannot express, so narrower matrices take the row walk.
+    pub(crate) fn fits(&self, width: usize) -> bool {
+        self.feats
+            .last()
+            .is_none_or(|fq| (fq.column as usize) < width)
     }
 
     /// Walk every tree over every row of `x`, calling
     /// `sink(row, leaf_node_id, leaf_value)`. Trees run in forest order
     /// and each row fires exactly once per tree, so every row sees its
-    /// trees in forest order — the interpreter's per-row fold order
+    /// trees in forest order — the row walk's per-row fold order
     /// exactly — and per-row sums and attribution deposits are
     /// bit-identical. (Within one tree the *row* order is unspecified:
     /// the mask walk emits leaves in traversal order. Rows never fold
     /// into each other, so only the per-row tree order matters.) The
-    /// caller must already have passed the interpreter's one-time
-    /// `max_feature < width` guard, which bounds every column this
-    /// program buckets (both sides are the maximum split column of the
-    /// same node table).
+    /// caller must already have checked [`fits`](Self::fits).
     pub(crate) fn walk_batch(&self, x: &ColMatrix, sink: &mut impl FnMut(usize, u32, f64)) {
         let n = x.n_rows();
         if n == 0 {
@@ -515,13 +452,13 @@ impl ForestProgram {
         // bytes a rank. Linked batteries rank the matrix once against
         // the shared merged tables (cached across sibling models) and
         // remap to local ranks — a table lookup per value; unlinked
-        // programs (and short matrices, where serve-path cache traffic
-        // would outweigh the win) bucket locally (see
-        // [`FeatQuant::bucket_column`]). The shared tables may span
+        // programs and short matrices (see [`SHARED_RANK_MIN_ROWS`])
+        // bucket locally (see [`FeatQuant::bucket_column`]). The shared tables may span
         // columns this program never touches, so a narrower matrix —
         // legal for *this* program — must take the local path.
         let mut q = vec![0u16; self.feats.len() * n];
-        let shared = if n >= MASK_MIN_ROWS {
+        debug_assert!(self.fits(x.n_cols()), "matrix lacks a split column");
+        let shared = if n >= SHARED_RANK_MIN_ROWS {
             self.shared
                 .get()
                 .filter(|ctx| (ctx.quant.max_column as usize) < x.n_cols())
@@ -550,23 +487,15 @@ impl ForestProgram {
         }
         let mut masks = vec![0u64; *self.feat_base.last().expect("non-empty") as usize];
         let mut stack: Vec<(u32, u64)> = Vec::with_capacity(64);
-        let mut tile: Vec<u16> = Vec::new();
         let mut start = 0;
         while start < n {
             let len = BLOCK_ROWS.min(n - start);
-            if len >= MASK_MIN_ROWS {
-                self.mask_block(&q, n, start, len, &mut masks, &mut stack, sink);
-            } else {
-                if tile.is_empty() {
-                    tile = vec![1u16; self.feats.len() * BLOCK_ROWS];
-                }
-                self.lane_block(&q, n, start, len, &mut tile, sink);
-            }
+            self.mask_block(&q, n, start, len, &mut masks, &mut stack, sink);
             start += len;
         }
     }
 
-    /// Mask-propagation engine for one (≥ [`MASK_MIN_ROWS`]-row) block.
+    /// Mask-propagation walk for one block of `1 ..= BLOCK_ROWS` rows.
     ///
     /// Builds the per-feature rank → row-mask tables (histogram +
     /// prefix-OR: `masks[feat_base[slot] + qt]` = rows whose bucket is
@@ -613,12 +542,12 @@ impl ForestProgram {
                 // right pointer the decode guard range-checked, or a
                 // preorder left child (`node + 1`, in range because
                 // splits are never the last table entry); `mnodes` and
-                // `value` are table-length. A split's `maskofs` is
-                // `feat_base[slot] + qt ≤ feat_base[slot + 1] - 1 <
-                // masks.len()` by construction. Checked indexing here
-                // costs as much as the mask AND itself.
+                // `value` are table-length. Checked indexing here costs
+                // as much as the mask AND itself.
+                debug_assert!(node < self.mnodes.len() && node < self.value.len());
                 let nd = unsafe { *self.mnodes.get_unchecked(node) };
                 if nd >> 32 == u64::from(u32::MAX) {
+                    // SAFETY: as above, `node < value.len()`.
                     let v = unsafe { *self.value.get_unchecked(node) };
                     let mut bits = m;
                     while bits != 0 {
@@ -634,6 +563,10 @@ impl ForestProgram {
                         None => break,
                     }
                 } else {
+                    // SAFETY: a split's `maskofs` is `feat_base[slot] + qt
+                    // ≤ feat_base[slot + 1] - 1 < masks.len()` by
+                    // construction (`qt ≤ cuts + 1`).
+                    debug_assert!(((nd >> 32) as usize) < masks.len());
                     let cmp = unsafe { *masks.get_unchecked((nd >> 32) as usize) };
                     let left = m & cmp;
                     let right = m & !cmp;
@@ -653,236 +586,6 @@ impl ForestProgram {
             }
         }
     }
-
-    /// Per-lane descent engine for short blocks: re-packs the block's
-    /// ranks into a compile-time-stride tile (bucket index becomes
-    /// shift-and-add) and runs each tree's ladder — or the quantized
-    /// lockstep loop for deep trees — [`LANES`] rows at a time. Padding
-    /// lanes hold bucket 1 (any real rank) so their walks stay in
-    /// bounds and are discarded before the sink.
-    #[allow(clippy::too_many_arguments)]
-    fn lane_block(
-        &self,
-        q: &[u16],
-        n: usize,
-        start: usize,
-        len: usize,
-        tile: &mut [u16],
-        sink: &mut impl FnMut(usize, u32, f64),
-    ) {
-        let padded = len.next_multiple_of(LANES);
-        for slot in 0..self.feats.len() {
-            let dst = &mut tile[slot * BLOCK_ROWS..slot * BLOCK_ROWS + padded];
-            dst[..len].copy_from_slice(&q[slot * n + start..slot * n + start + len]);
-            dst[len..].fill(1);
-        }
-        for prog in &self.trees {
-            match prog {
-                TreeProg::Unrolled { depth, nodes, leaf } => {
-                    for base in (0..padded).step_by(LANES) {
-                        ladder_lanes(
-                            *depth,
-                            nodes,
-                            tile,
-                            base,
-                            leaf,
-                            &self.value,
-                            len,
-                            start,
-                            sink,
-                        );
-                    }
-                }
-                TreeProg::Lockstep { root, depth } => {
-                    for base in (0..padded).step_by(LANES) {
-                        let mut idx = [*root as usize; LANES];
-                        for _ in 0..*depth {
-                            for (l, i) in idx.iter_mut().enumerate() {
-                                let nd = self.qnodes[*i];
-                                let b = tile[(nd >> 48) as usize * BLOCK_ROWS + base + l];
-                                *i = if b <= (nd >> 32) as u16 {
-                                    *i + 1
-                                } else {
-                                    (nd & u64::from(u32::MAX)) as usize
-                                };
-                            }
-                        }
-                        for (l, &i) in idx.iter().enumerate() {
-                            if base + l < len {
-                                sink(start + base + l, i as u32, self.value[i]);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Expand a (depth ≤ [`UNROLL_MAX_DEPTH`]) tree into its perfect-binary
-/// ladder. Early leaves become `qt = 0` spine nodes that force every
-/// lane right until the bottom level, where the original leaf's node id
-/// lands; slots no walk can reach stay zero.
-fn build_ladder(
-    nodes: &FlatTree,
-    feats: &[FeatQuant],
-    slot_of: impl Fn(u32) -> usize + Copy,
-    root: u32,
-    depth: u32,
-) -> TreeProg {
-    let inner = (1usize << depth) - 1;
-    let mut ladder = vec![0u32; inner];
-    let mut leaf = vec![0u32; 1 << depth];
-    fill_ladder(
-        nodes,
-        feats,
-        slot_of,
-        root as usize,
-        0,
-        depth,
-        &mut ladder,
-        &mut leaf,
-    );
-    TreeProg::Unrolled {
-        depth,
-        nodes: ladder,
-        leaf,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fill_ladder(
-    nodes: &FlatTree,
-    feats: &[FeatQuant],
-    slot_of: impl Fn(u32) -> usize + Copy,
-    id: usize,
-    slot: usize,
-    levels_left: u32,
-    ladder: &mut [u32],
-    leaf: &mut [u32],
-) {
-    let f = nodes.feature[id];
-    if levels_left == 0 {
-        // Bottom level: `node_depths` guarantees every path from the
-        // root has reached its leaf by now.
-        debug_assert_eq!(f, LEAF, "ladder bottom must be a leaf");
-        leaf[slot - ladder.len()] = id as u32;
-        return;
-    }
-    if f == LEAF {
-        // Early leaf: pad with an always-right sentinel (`qt = 0`; every
-        // bucket is ≥ 1) and push the leaf down the right spine.
-        ladder[slot] = 0;
-        fill_ladder(
-            nodes,
-            feats,
-            slot_of,
-            id,
-            2 * slot + 2,
-            levels_left - 1,
-            ladder,
-            leaf,
-        );
-        return;
-    }
-    let fslot = slot_of(f);
-    let qt = qt_of(&feats[fslot].cuts, nodes.threshold[id]);
-    ladder[slot] = (fslot as u32) << 16 | u32::from(qt);
-    fill_ladder(
-        nodes,
-        feats,
-        slot_of,
-        nodes.left[id] as usize,
-        2 * slot + 1,
-        levels_left - 1,
-        ladder,
-        leaf,
-    );
-    fill_ladder(
-        nodes,
-        feats,
-        slot_of,
-        nodes.right[id] as usize,
-        2 * slot + 2,
-        levels_left - 1,
-        ladder,
-        leaf,
-    );
-}
-
-/// One [`LANES`]-wide sweep of an unrolled ladder, monomorphized per
-/// depth so the step loop fully unrolls into a branchless compare
-/// ladder.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn ladder_lanes(
-    depth: u32,
-    nodes: &[u32],
-    tile: &[u16],
-    base: usize,
-    leaf: &[u32],
-    value: &[f64],
-    len: usize,
-    start: usize,
-    sink: &mut impl FnMut(usize, u32, f64),
-) {
-    macro_rules! dispatch {
-        ($($d:literal),*) => {
-            match depth {
-                $($d => ladder_steps::<$d>(nodes, tile, base, leaf, value, len, start, sink),)*
-                _ => unreachable!("ladder depth exceeds UNROLL_MAX_DEPTH"),
-            }
-        };
-    }
-    dispatch!(0, 1, 2, 3, 4, 5, 6, 7, 8)
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn ladder_steps<const D: u32>(
-    nodes: &[u32],
-    tile: &[u16],
-    base: usize,
-    leaf: &[u32],
-    value: &[f64],
-    len: usize,
-    start: usize,
-    sink: &mut impl FnMut(usize, u32, f64),
-) {
-    let first = (1usize << D) - 1;
-    debug_assert_eq!(nodes.len(), first);
-    debug_assert_eq!(leaf.len(), 1 << D);
-    debug_assert!(base + LANES <= BLOCK_ROWS && tile.len().is_multiple_of(BLOCK_ROWS));
-    let mut slot = [0usize; LANES];
-    for _ in 0..D {
-        for (l, s) in slot.iter_mut().enumerate() {
-            // SAFETY: after k < D steps a slot satisfies `s < 2^k - 1 +
-            // 2^k = 2^{k+1} - 1 ≤ 2^D - 1 = nodes.len()` (each step maps
-            // `s → 2s + 1 + b`, `b ∈ {0, 1}`), so the node load is in
-            // bounds; the bucket index is `feat_slot * BLOCK_ROWS + base
-            // + l` with `feat_slot < tile.len() / BLOCK_ROWS` (compile
-            // packs only real feature slots) and `base + l < BLOCK_ROWS`.
-            // Bounds checks here cost more than the whole compare — this
-            // loop is the entire short-block inner kernel.
-            unsafe {
-                let nd = *nodes.get_unchecked(*s);
-                let b = *tile.get_unchecked((nd >> 16) as usize * BLOCK_ROWS + base + l);
-                *s = 2 * *s + 1 + usize::from(b > nd as u16);
-            }
-        }
-    }
-    for (l, &s) in slot.iter().enumerate() {
-        if base + l < len {
-            // SAFETY: D steps land every slot in the bottom level:
-            // `first ≤ s < 2^{D+1} - 1`, so `s - first < 2^D`; `leaf`
-            // holds original node ids, all `< value.len()`.
-            let bottom = s - first;
-            unsafe {
-                let id = *leaf.get_unchecked(bottom);
-                sink(start + base + l, id, *value.get_unchecked(id as usize));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -890,7 +593,8 @@ mod tests {
     use super::*;
     use crate::dataset::ColMatrix;
     use crate::forest::RandomForest;
-    use crate::Classifier;
+    use crate::infer::map_rows;
+    use crate::{Classifier, CompiledClassifier};
 
     fn synth_rows(n: usize, cols: usize, salt: u64) -> Vec<Vec<f64>> {
         let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(salt | 1);
@@ -925,76 +629,98 @@ mod tests {
         t
     }
 
-    fn assert_programs_match(reference: &FlatTree, x: &ColMatrix) {
-        let optimized = reference.clone();
-        optimized.optimize();
-        let a = reference.predict_batch(x);
-        let b = optimized.predict_batch(x);
-        for (i, (p, q)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(p.to_bits(), q.to_bits(), "row {i} diverged");
+    /// The scalar reference: every row of `x` through `score_from`, a
+    /// forest's trees folded in order and divided like `score_row`.
+    fn row_walk(model: &CompiledClassifier, x: &ColMatrix) -> Vec<f64> {
+        match model {
+            CompiledClassifier::Forest(f) => map_rows(x, |row| f.score_row(row)),
+            CompiledClassifier::Tree(t) => map_rows(x, |row| t.score_from(0, row)),
+            _ => unreachable!("tree-shaped models only"),
         }
+    }
+
+    fn assert_bits_eq(a: &[f64], b: &[f64], context: &str) {
+        assert_eq!(a.len(), b.len(), "{context}");
+        for (i, (p, q)) in a.iter().zip(b).enumerate() {
+            assert_eq!(p.to_bits(), q.to_bits(), "{context}: row {i} diverged");
+        }
+    }
+
+    fn assert_programs_match(tree: &FlatTree, x: &ColMatrix) {
+        let reference = map_rows(x, |row| tree.score_from(0, row));
+        assert_bits_eq(&tree.predict_batch(x), &reference, "tree");
+    }
+
+    fn forest(rows: &[Vec<f64>], label: impl Fn(&[f64]) -> bool) -> CompiledClassifier {
+        let y: Vec<usize> = rows.iter().map(|r| label(r) as usize).collect();
+        let mut f = RandomForest::new();
+        f.fit(rows, &y);
+        f.compile().unwrap()
     }
 
     #[test]
     fn optimized_forest_scores_bit_identically() {
         let rows = synth_rows(150, 7, 3);
-        let y: Vec<usize> = rows.iter().map(|r| (r[0] + r[1] > 0.0) as usize).collect();
-        let mut f = RandomForest::new();
-        f.fit(&rows, &y);
-        let compiled = f.compile().unwrap();
-        let optimized = compiled.clone();
-        assert!(optimized.optimize());
+        let compiled = forest(&rows, |r| r[0] + r[1] > 0.0);
+        assert!(compiled.optimize());
         let x = ColMatrix::from_rows(&rows);
-        let a = compiled.predict_batch(&x);
-        let b = optimized.predict_batch(&x);
-        for (p, q) in a.iter().zip(&b) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
+        assert_bits_eq(
+            &compiled.predict_batch(&x),
+            &row_walk(&compiled, &x),
+            "forest",
+        );
     }
 
     #[test]
-    fn mask_and_lane_engines_agree_across_block_sizes() {
-        // Batch sizes straddling MASK_MIN_ROWS and BLOCK_ROWS: tiny
-        // batches take the ladder path, 64-row blocks the mask walk,
-        // and sizes in between exercise both (full blocks masked, the
-        // short tail laddered). All must equal the interpreter bitwise.
+    fn mask_walk_matches_the_row_walk_at_every_block_size() {
+        // One-row serve blocks, the sizes around a 16-row block, the
+        // shared-rank cut-off, a full 64-row block and multi-block
+        // batches with short tails: all one engine, all bitwise equal
+        // to the row walk.
         let rows = synth_rows(200, 6, 23);
-        let y: Vec<usize> = rows.iter().map(|r| (r[2] > 0.5) as usize).collect();
-        let mut f = RandomForest::new();
-        f.fit(&rows, &y);
-        let compiled = f.compile().unwrap();
-        let optimized = compiled.clone();
-        assert!(optimized.optimize());
-        for take in [1usize, MASK_MIN_ROWS - 1, MASK_MIN_ROWS, 64, 65, 150] {
+        let compiled = forest(&rows, |r| r[2] > 0.5);
+        for take in [
+            1usize,
+            2,
+            15,
+            16,
+            17,
+            SHARED_RANK_MIN_ROWS - 1,
+            SHARED_RANK_MIN_ROWS,
+            64,
+            65,
+            150,
+        ] {
             let x = ColMatrix::from_rows(&rows[..take]);
-            let a = compiled.predict_batch(&x);
-            let b = optimized.predict_batch(&x);
-            for (i, (p, q)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(p.to_bits(), q.to_bits(), "take={take} row {i}");
-            }
+            let context = format!("take={take}");
+            assert_bits_eq(
+                &compiled.predict_batch(&x),
+                &row_walk(&compiled, &x),
+                &context,
+            );
         }
     }
 
     #[test]
-    fn deep_chains_run_the_quantized_lockstep_path() {
-        // 40 levels is past UNROLL_MAX_DEPTH, so the short-block path
-        // keeps the lockstep loop — over a DAG-shaped table the ladder
-        // could not legally expand node-per-slot — and the mask walk
-        // must handle the shared bottom leaf (visited once per
-        // incoming path, disjoint masks each time).
+    fn deep_chains_match_the_row_walk() {
+        // 40 levels over a DAG-shaped table: the mask walk must handle
+        // the shared bottom leaf (visited once per incoming path,
+        // disjoint masks each time) at any block size.
         let tree = chain_tree(40);
         assert!(tree.optimize());
         let mut rows = synth_rows(90, 3, 11);
         rows[7][0] = f64::NAN;
         rows[33][0] = -8.0;
-        assert_programs_match(&tree, &ColMatrix::from_rows(&rows));
+        for take in [1, 2, 8, 90] {
+            assert_programs_match(&tree, &ColMatrix::from_rows(&rows[..take]));
+        }
     }
 
     #[test]
     fn oversized_cut_tables_take_the_exactness_fallback() {
         // One feature with MAX_CUTS + 2 distinct thresholds cannot rank
-        // into u16 buckets losslessly: optimize() must refuse and leave
-        // the interpreter in charge.
+        // into u16 buckets losslessly: no program is built, and batches
+        // take the row walk.
         let tree = chain_tree(MAX_CUTS + 2);
         assert!(!tree.optimize());
         let rows = synth_rows(5, 2, 17);
@@ -1017,27 +743,24 @@ mod tests {
     fn linked_batteries_share_ranks_and_stay_bit_identical() {
         // Two forests trained on overlapping features get linked to one
         // merged quantization; scoring must stay bitwise equal to each
-        // forest's own interpreter across the mask/ladder block-size
-        // boundary (the shared path only covers full blocks).
+        // forest's row walk on both sides of the shared-rank cut-off.
         let rows = synth_rows(180, 6, 41);
-        let ya: Vec<usize> = rows.iter().map(|r| (r[0] > 0.2) as usize).collect();
-        let yb: Vec<usize> = rows.iter().map(|r| (r[3] + r[4] > -0.5) as usize).collect();
-        let mut fa = RandomForest::new();
-        fa.fit(&rows, &ya);
-        let mut fb = RandomForest::new();
-        fb.fit(&rows, &yb);
-        let (ia, ib) = (fa.compile().unwrap(), fb.compile().unwrap());
-        let (ca, cb) = (ia.clone(), ib.clone());
-        assert!(ca.optimize() && cb.optimize());
+        let ca = forest(&rows, |r| r[0] > 0.2);
+        let cb = forest(&rows, |r| r[3] + r[4] > -0.5);
         crate::infer::link_battery([&ca, &cb], []);
-        for take in [MASK_MIN_ROWS, 64, 65, 180] {
+        for take in [
+            1,
+            2,
+            SHARED_RANK_MIN_ROWS - 1,
+            SHARED_RANK_MIN_ROWS,
+            64,
+            65,
+            180,
+        ] {
             let x = ColMatrix::from_rows(&rows[..take]);
-            for (interp, linked) in [(&ia, &ca), (&ib, &cb)] {
-                let a = interp.predict_batch(&x);
-                let b = linked.predict_batch(&x);
-                for (i, (p, q)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(p.to_bits(), q.to_bits(), "take={take} row {i}");
-                }
+            for linked in [&ca, &cb] {
+                let context = format!("take={take}");
+                assert_bits_eq(&linked.predict_batch(&x), &row_walk(linked, &x), &context);
             }
         }
     }

@@ -66,15 +66,7 @@ pub trait Classifier {
     /// materializes rows into one reused scratch buffer; models override
     /// it with flattened batch kernels (see [`infer`]).
     fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
-        let mut row = vec![0.0; x.n_cols()];
-        (0..x.n_rows())
-            .map(|i| {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = x.value(i, j);
-                }
-                self.predict_proba(&row)
-            })
-            .collect()
+        infer::map_rows(x, |row| self.predict_proba(row))
     }
     /// Compile into the flattened batched-inference form, or `None` for
     /// models without a compiled representation.
@@ -98,15 +90,7 @@ pub trait Regressor {
     /// Predicted target for every row of `x`, bit-identical to calling
     /// [`predict`](Regressor::predict) per row.
     fn predict_batch(&self, x: &ColMatrix) -> Vec<f64> {
-        let mut row = vec![0.0; x.n_cols()];
-        (0..x.n_rows())
-            .map(|i| {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = x.value(i, j);
-                }
-                self.predict(&row)
-            })
-            .collect()
+        infer::map_rows(x, |row| self.predict(row))
     }
     /// Compile into the flattened batched-inference form, or `None` for
     /// models without a compiled representation.

@@ -221,6 +221,27 @@ fn trained_model(engine: &PipelineConfig, train_jobs: usize) -> TrainedModel {
     model
 }
 
+/// The battery every scoring command runs through: a persisted `CLVY`
+/// model when `--model` named one, otherwise the fixed-seed metric
+/// trained and compiled on the spot. Kernels build on first use.
+fn compiled_model(
+    model_path: Option<&std::path::Path>,
+    engine: &PipelineConfig,
+    train_jobs: usize,
+) -> Result<CompiledModel, String> {
+    Ok(match model_path {
+        Some(path) => {
+            let model = CompiledModel::load(path)?;
+            eprintln!("loaded compiled model from `{}`", path.display());
+            model
+        }
+        None => {
+            eprintln!("training the metric (fixed-seed corpus)…");
+            trained_model(engine, train_jobs).compile()
+        }
+    })
+}
+
 fn lint(paths: &[String]) -> Result<ExitCode, String> {
     let program = load_program("input", paths)?;
     let report = bugfind::MetaTool::new().run(&program);
@@ -260,9 +281,12 @@ fn evaluate(
         _ => (false, args.to_vec()),
     };
     let program = load_program("input", &paths)?;
-    eprintln!("training the metric (fixed-seed corpus)…");
-    let model = trained_model(engine, train_jobs);
-    let report = model.evaluate(&program);
+    let compiled = compiled_model(None, engine, train_jobs)?;
+    let app = (program.name.clone(), Testbed::new().extract(&program));
+    let report = compiled
+        .evaluate_batch(&[app], engine.jobs)
+        .pop()
+        .expect("one app in, one report out");
     if json {
         println!("{}", security_report_json(&report));
     } else {
@@ -297,19 +321,7 @@ fn score(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<
         return Err("no input files".to_string());
     }
 
-    let compiled = match &model_path {
-        Some(path) => {
-            let model = CompiledModel::load(path)?;
-            eprintln!("loaded compiled model from `{}`", path.display());
-            model
-        }
-        None => {
-            eprintln!("training the metric (fixed-seed corpus)…");
-            trained_model(engine, train_jobs).compile()
-        }
-    };
-    // Codegen: quantized kernels for the whole battery, once up front.
-    compiled.optimize();
+    let compiled = compiled_model(model_path.as_deref(), engine, train_jobs)?;
     if let Some(path) = &save_path {
         compiled.save(path)?;
         eprintln!("saved compiled model to `{}`", path.display());
@@ -382,19 +394,7 @@ fn explain(
         return Err("no input files".to_string());
     }
 
-    let compiled = match &model_path {
-        Some(path) => {
-            let model = CompiledModel::load(path)?;
-            eprintln!("loaded compiled model from `{}`", path.display());
-            model
-        }
-        None => {
-            eprintln!("training the metric (fixed-seed corpus)…");
-            trained_model(engine, train_jobs).compile()
-        }
-    };
-    // Codegen: quantized kernels for the whole battery, once up front.
-    compiled.optimize();
+    let compiled = compiled_model(model_path.as_deref(), engine, train_jobs)?;
 
     let mut rendered = Vec::new();
     for path in &paths {
@@ -422,9 +422,8 @@ fn compare(
     };
     let pa = load_program(a, std::slice::from_ref(a))?;
     let pb = load_program(b, std::slice::from_ref(b))?;
-    eprintln!("training the metric (fixed-seed corpus)…");
-    let model = trained_model(engine, train_jobs);
-    let cmp = compare_programs(&model, &pa, &pb);
+    let compiled = compiled_model(None, engine, train_jobs)?;
+    let cmp = compare_programs_compiled(&compiled, &pa, &pb, engine.jobs);
     println!("{cmp}");
     Ok(ExitCode::SUCCESS)
 }
@@ -849,18 +848,8 @@ fn gate(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<E
     let pa = load_program("after", std::slice::from_ref(after))?;
     // CI shape: load a persisted compiled model (`score --save-model`)
     // instead of retraining the fixed-seed corpus on every push.
-    let delta = match &model_path {
-        Some(path) => {
-            let compiled = CompiledModel::load(path)?;
-            eprintln!("loaded compiled model from `{}`", path.display());
-            compiled.optimize();
-            version_delta_compiled(&compiled, &pb, &pa, engine.jobs)
-        }
-        None => {
-            eprintln!("training the metric (fixed-seed corpus)…");
-            version_delta(&trained_model(engine, train_jobs), &pb, &pa)
-        }
-    };
+    let compiled = compiled_model(model_path.as_deref(), engine, train_jobs)?;
+    let delta = version_delta_compiled(&compiled, &pb, &pa, engine.jobs);
     println!("{delta}");
     Ok(match delta.verdict {
         RiskChange::Raised => ExitCode::FAILURE,
@@ -973,18 +962,7 @@ fn watch(args: &[String], engine: &PipelineConfig, train_jobs: usize) -> Result<
     }
     let state_path = state_path.unwrap_or_else(|| dir.join(".clairvoyant-watch"));
 
-    let compiled = match &model_path {
-        Some(path) => {
-            let model = CompiledModel::load(path)?;
-            eprintln!("loaded compiled model from `{}`", path.display());
-            model
-        }
-        None => {
-            eprintln!("training the metric (fixed-seed corpus)…");
-            trained_model(engine, train_jobs).compile()
-        }
-    };
-    compiled.optimize();
+    let compiled = compiled_model(model_path.as_deref(), engine, train_jobs)?;
 
     let project = dir
         .file_name()

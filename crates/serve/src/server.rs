@@ -125,8 +125,8 @@ pub struct ModelState {
 
 impl ModelState {
     /// Wrap an in-memory model (fingerprints its serialized form) with
-    /// its optimized kernels compiled up front, so the first request
-    /// never pays the codegen step.
+    /// its scoring kernels built up front, so the first request never
+    /// pays the codegen step.
     pub fn from_model(compiled: CompiledModel) -> ModelState {
         let fingerprint = fingerprint_bytes(&compiled.to_bytes());
         compiled.optimize();
@@ -137,7 +137,7 @@ impl ModelState {
         }
     }
 
-    /// Load and fingerprint a CLVY file, compiling the optimized kernels
+    /// Load and fingerprint a CLVY file, building its scoring kernels
     /// before the state is published. On the hot-reload path this runs
     /// *before* the `Arc<ModelState>` swap, so in-flight and subsequent
     /// batches always see a fully compiled battery — the swap never

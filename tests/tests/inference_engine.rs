@@ -263,22 +263,23 @@ fn attribution_folds_exactly_for_every_learner() {
 }
 
 /// Differential fuzzing of the compiled kernels (`secml::kernel`)
-/// against the interpreter, over seeded random *wire* forests — tables
-/// that arrive through the `CLVY` decode path rather than training, so
-/// they reach shapes training never emits: depth past the unroll limit,
-/// NaN split thresholds and NaN leaf values, single-leaf trees, empty
-/// forests, duplicate and signed-zero cuts. Scores and attributions
-/// must be bit-identical for every forest, at batch sizes straddling
-/// the kernel's mask/ladder engine boundary.
+/// against the scalar per-row reference (`attribute_row`, the row walk),
+/// over seeded random *wire* forests — tables that arrive through the
+/// `CLVY` decode path rather than training, so they reach shapes
+/// training never emits: deep trees, NaN split thresholds and NaN leaf
+/// values, single-leaf trees, empty forests, duplicate and signed-zero
+/// cuts. Scores and attributions must be bit-identical for every forest,
+/// at every batch size the kernel distinguishes.
 mod kernel_fuzz {
     use secml::bytes::{ByteReader, ByteWriter};
     use secml::{ColMatrix, CompiledClassifier};
 
     const LEAF: u32 = u32::MAX;
     const FEATS: usize = 6;
-    /// Batch sizes straddling the mask-walk threshold (32) and the
-    /// 64-row block width, plus the single-row serve shape.
-    const SIZES: [usize; 6] = [1, 31, 32, 64, 65, 117];
+    /// The single-row and two-row serve shapes, the sizes around a
+    /// 16-row block, both sides of the shared-rank cut-off (32) and of
+    /// the 64-row block width.
+    const SIZES: [usize; 10] = [1, 2, 15, 16, 17, 31, 32, 64, 65, 117];
 
     /// splitmix64: tiny, seeded, good enough to shake out edge cases
     /// reproducibly.
@@ -354,13 +355,12 @@ mod kernel_fuzz {
 
         /// Preorder-generate a subtree: split probability decays with
         /// depth, but a `spine` budget forces a left chain first so some
-        /// trees exceed the kernel's unroll depth (8) and exercise the
-        /// quantized lockstep path.
+        /// trees run deeper than trained ones (depth 8).
         fn gen(&mut self, rng: &mut Rng, depth: u32, spine: u32) -> u32 {
             let split = spine > 0 || (depth < 11 && rng.below(100) < 72);
             if !split {
-                // Leaf values include NaN: both engines must fold the
-                // same bits through identical per-row sums.
+                // Leaf values include NaN: batch and row paths must fold
+                // the same bits through identical per-row sums.
                 let value = if rng.below(24) == 0 {
                     f64::NAN
                 } else {
@@ -426,44 +426,51 @@ mod kernel_fuzz {
         wf
     }
 
-    fn matrix(rng: &mut Rng, rows: usize) -> ColMatrix {
-        let data: Vec<Vec<f64>> = (0..rows)
+    fn rows(rng: &mut Rng, rows: usize) -> Vec<Vec<f64>> {
+        (0..rows)
             .map(|_| (0..FEATS).map(|_| rng.cell()).collect())
-            .collect();
-        ColMatrix::from_rows(&data)
+            .collect()
     }
 
-    fn assert_engines_agree(interp: &CompiledClassifier, kernel: &CompiledClassifier, seed: u64) {
+    /// Batched scores and attributions against the per-row
+    /// `attribute_row` reference, every float by its bits.
+    fn assert_engines_agree(model: &CompiledClassifier, seed: u64) {
         let mut rng = Rng(seed ^ 0xD6E8_FEB8_6659_FD93);
-        for rows in SIZES {
-            let x = matrix(&mut rng, rows);
-            let context = format!("seed {seed}, {rows} rows");
-            let a = interp.predict_batch(&x);
-            let b = kernel.predict_batch(&x);
-            assert_eq!(a.len(), b.len(), "{context}");
-            for (i, (p, q)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(p.to_bits(), q.to_bits(), "{context}: score row {i}");
-            }
-            let aa = interp.attribute_batch(&x);
-            let ab = kernel.attribute_batch(&x);
-            for (i, (ra, rb)) in aa.iter().zip(&ab).enumerate() {
+        for n in SIZES {
+            let data = rows(&mut rng, n);
+            let x = ColMatrix::from_rows(&data);
+            let context = format!("seed {seed}, {n} rows");
+            let scores = model.predict_batch(&x);
+            let attributions = model.attribute_batch(&x);
+            assert_eq!(scores.len(), n, "{context}");
+            assert_eq!(attributions.len(), n, "{context}");
+            for (i, ((row, score), batch)) in
+                data.iter().zip(&scores).zip(&attributions).enumerate()
+            {
+                let reference = model.attribute_row(row);
                 assert_eq!(
-                    ra.baseline.to_bits(),
-                    rb.baseline.to_bits(),
-                    "{context}: baseline row {i}"
+                    score.to_bits(),
+                    reference.prediction.to_bits(),
+                    "{context}: predict_batch row {i}"
                 );
+                for (what, a, b) in [
+                    ("prediction", batch.prediction, reference.prediction),
+                    ("score", batch.score, reference.score),
+                    ("baseline", batch.baseline, reference.baseline),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{context}: {what} row {i}");
+                }
                 assert_eq!(
-                    ra.score.to_bits(),
-                    rb.score.to_bits(),
-                    "{context}: score row {i}"
+                    batch.contributions.len(),
+                    reference.contributions.len(),
+                    "{context}"
                 );
-                assert_eq!(
-                    ra.prediction.to_bits(),
-                    rb.prediction.to_bits(),
-                    "{context}: prediction row {i}"
-                );
-                assert_eq!(ra.contributions.len(), rb.contributions.len(), "{context}");
-                for (j, (ca, cb)) in ra.contributions.iter().zip(&rb.contributions).enumerate() {
+                for (j, (ca, cb)) in batch
+                    .contributions
+                    .iter()
+                    .zip(&reference.contributions)
+                    .enumerate()
+                {
                     assert_eq!(
                         ca.to_bits(),
                         cb.to_bits(),
@@ -477,13 +484,10 @@ mod kernel_fuzz {
     #[test]
     fn fuzzed_wire_forests_score_and_attribute_bit_identically() {
         for seed in 0..48u64 {
-            let interp = gen_forest(seed).decode();
-            let kernel = interp.clone();
             // Degenerate tables may refuse to compile (that is the
             // exactness fallback working); they still must score
-            // identically through the interpreter they keep.
-            kernel.optimize();
-            assert_engines_agree(&interp, &kernel, seed);
+            // identically through the row walk they keep.
+            assert_engines_agree(&gen_forest(seed).decode(), seed);
         }
     }
 
@@ -495,26 +499,22 @@ mod kernel_fuzz {
         // member, including the degenerate shapes.
         for group in 0..6u64 {
             let seeds: Vec<u64> = (0..5).map(|k| group * 5 + k).collect();
-            let interps: Vec<CompiledClassifier> =
+            let models: Vec<CompiledClassifier> =
                 seeds.iter().map(|&s| gen_forest(s).decode()).collect();
-            let kernels: Vec<CompiledClassifier> = interps.to_vec();
-            for kernel in &kernels {
-                kernel.optimize();
-            }
-            secml::link_battery(kernels.iter(), []);
-            for ((interp, kernel), &seed) in interps.iter().zip(&kernels).zip(&seeds) {
-                assert_engines_agree(interp, kernel, seed);
+            secml::link_battery(models.iter(), []);
+            for (model, &seed) in models.iter().zip(&seeds) {
+                assert_engines_agree(model, seed);
             }
         }
     }
 }
 
-/// Serve's wire responses come from hot-reload-compiled kernels
-/// (`ModelState` runs `optimize()` before the state is published); they
-/// must be bitwise the JSON the *un-optimized* interpreter produces
-/// offline — the end-to-end closure of the kernel equality gate.
+/// Serve's wire responses come from the compiled kernels (`ModelState`
+/// warms them with `optimize()` before the state is published); they
+/// must be bitwise the JSON the boxed per-row models produce offline —
+/// the end-to-end closure of the kernel equality gate.
 #[test]
-fn served_scores_are_bit_identical_to_the_unoptimized_interpreter() {
+fn served_scores_are_bit_identical_to_the_boxed_reference() {
     use clairvoyant::report::{security_report_value, Json};
     use serve::client::{is_ok, Client};
     use serve::server::{ModelState, ServeConfig};
@@ -526,17 +526,14 @@ fn served_scores_are_bit_identical_to_the_unoptimized_interpreter() {
     .train(&Corpus::generate(&CorpusConfig::small(14, 20177)));
     let apps = extract_apps(&Corpus::generate(&CorpusConfig::small(8, 53)));
 
-    // Offline reference: a freshly compiled battery that never runs the
-    // codegen stage, so it scores through the PR 4 interpreter.
-    let interp = model.compile();
-    let expected: Vec<String> = interp
-        .evaluate_batch(&apps, 1)
+    // Offline reference: the boxed per-row models, no kernels at all.
+    let expected: Vec<String> = boxed_reports(&model, &apps)
         .iter()
         .map(|r| security_report_value(r).to_string())
         .collect();
 
-    // Served path: a second compilation of the same battery, with the
-    // optimized kernels compiled up front as the reload path does.
+    // Served path: the compiled battery, kernels warmed up front as the
+    // reload path does.
     let handle = serve::start(
         ServeConfig {
             batch_max: 3,
